@@ -48,12 +48,15 @@ void
 Histogram::sample(double v)
 {
     std::size_t idx = buckets();
-    if (v >= 0.0) {
-        const auto raw = std::size_t(v / bucketWidth_);
-        if (raw < buckets())
-            idx = raw;
-    } else {
+    if (v < 0.0) {
         idx = 0; // clamp negatives into the first bucket
+    } else {
+        // Range-check in double before converting: +inf, values past
+        // size_t's range and NaN (every comparison false) all land
+        // in the overflow bucket instead of an undefined cast.
+        const double raw = v / bucketWidth_;
+        if (raw < double(buckets()))
+            idx = std::size_t(raw);
     }
     ++counts_[idx];
     ++total_;

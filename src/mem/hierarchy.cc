@@ -43,7 +43,6 @@ Hierarchy::Hierarchy(const Topology &topo, const LatencyModel &lat,
         lruExt_.emplace_back(geo_.l1.rows(), false);
     }
     lruExtTracked_.resize(n);
-    l2Overflow_.resize(n);
     hot_.resize(n);
     l3MaskTracked_ = topo_.numChips() <= maxDirectoryChips;
     for (unsigned c = 0; c < topo_.numChips(); ++c)
@@ -80,14 +79,11 @@ Hierarchy::localHit(CpuId cpu, Addr line)
         ++hot_[cpu].l1Hit;
         return res;
     }
-    // Inclusivity: a held line must be L2-resident — either in the
-    // array or pending in the overflow buffer (a fast-path install
-    // whose real insert happens at the barrier drain).
+    // Inclusivity: a held line must be L2-resident.
     const auto p2 = l2_[cpu].probeForInsert(line);
-    if (p2.hit)
-        l2_[cpu].touchAt(p2);
-    else if (!inL2Overflow(cpu, line))
+    if (!p2.hit)
         ztx_panic("directory says cpu ", cpu, " holds line but L2 miss");
+    l2_[cpu].touchAt(p2);
     insertL1At(cpu, line, p1);
     res.source = DataSource::L2;
     res.latency = lat_.l2Hit;
@@ -183,20 +179,7 @@ void
 Hierarchy::removeFromCpu(CpuId cpu, Addr line)
 {
     l1_[cpu].invalidate(line);
-    if (!l2_[cpu].invalidate(line)) {
-        // The copy may still be pending in the overflow buffer (a
-        // same-shard XI can strip a line the fast path installed
-        // earlier in the same quantum); cancel the pending insert.
-        OverflowBuf &ob = l2Overflow_[cpu];
-        for (unsigned i = 0; i < ob.n; ++i) {
-            if (ob.lines[i] == line) {
-                for (unsigned j = i + 1; j < ob.n; ++j)
-                    ob.lines[j - 1] = ob.lines[j];
-                --ob.n;
-                break;
-            }
-        }
-    }
+    l2_[cpu].invalidate(line);
     dir_.remove(line, cpu);
 }
 
@@ -219,7 +202,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive,
 
     bool shard_local = false;
     if (local_only) {
-        if (!shardLocalEligible(cpu, line, e)) {
+        if (!shardLocalEligible(cpu, e)) {
             // Parallel phase: this access needs the fabric or a CPU
             // outside the shard. Defer without charging anything —
             // the step will be re-run serially at the barrier.
@@ -324,77 +307,29 @@ Hierarchy::propagatePoisonOnFill(CpuId cpu, Addr line,
     l1_[cpu].setFlags(line, line_flag::poison);
 }
 
-bool
-Hierarchy::inL2Overflow(CpuId cpu, Addr line) const
-{
-    const OverflowBuf &ob = l2Overflow_[cpu];
-    for (unsigned i = 0; i < ob.n; ++i)
-        if (ob.lines[i] == line)
-            return true;
-    return false;
-}
-
 void
-Hierarchy::drainL2Overflow()
+Hierarchy::setShardPartition(unsigned active_cpus)
 {
-    for (unsigned cpu = 0; cpu < topo_.numCpus(); ++cpu) {
-        OverflowBuf &ob = l2Overflow_[cpu];
-        for (unsigned i = 0; i < ob.n; ++i) {
-            const Addr line = ob.lines[i];
-            const auto p = l2_[cpu].probeForInsert(line);
-            if (p.hit) {
-                l2_[cpu].touchAt(p);
-                continue; // resident after all — nothing pending
-            }
-            const auto victim = l2_[cpu].insertAt(p, line);
-            if (victim.valid)
-                handleL2Evict(cpu, victim.line);
-        }
-        ob.n = 0;
-    }
-}
-
-void
-Hierarchy::setShardPartition(unsigned groups_per_chip,
-                             unsigned active_cpus)
-{
-    // Repartitioning with pending overflow installs would orphan
-    // them (the drain is what completes the directory bookkeeping).
-    for (const OverflowBuf &ob : l2Overflow_)
-        if (ob.n != 0)
-            ztx_panic("shard repartition with a non-empty L2 "
-                      "overflow buffer; drain first");
-    if (groups_per_chip == 0) {
-        shardGroupsPerChip_ = 0;
-        shardGroupSize_ = 1;
-        shardBits_.clear();
-        return;
-    }
     if (topo_.numChips() > maxDirectoryChips)
         ztx_fatal("shard-local fast path needs the L3-residency "
                   "mask, which tracks at most ", maxDirectoryChips,
                   " chips (topology has ", topo_.numChips(), ")");
-    const unsigned cores = topo_.coresPerChip();
-    shardGroupsPerChip_ = std::min(groups_per_chip, cores);
-    shardGroupSize_ = (cores + shardGroupsPerChip_ - 1) /
-                      shardGroupsPerChip_;
-    shardBits_.assign(topo_.numChips() * shardGroupsPerChip_, {});
+    shardBits_.assign(topo_.numChips(), {});
     for (CpuId cpu = 0; cpu < active_cpus; ++cpu)
-        shardBits_[shardOf(cpu)].set(cpu);
+        shardBits_[topo_.chipOf(cpu)].set(cpu);
 }
 
 bool
-Hierarchy::shardLocalEligible(CpuId cpu, Addr line,
-                              const DirectoryEntry &e) const
+Hierarchy::shardLocalEligible(CpuId cpu, const DirectoryEntry &e) const
 {
-    if (shardGroupsPerChip_ == 0)
+    if (shardBits_.empty())
         return false; // no partition registered: always defer
 
     // Every current holder must be inside this CPU's shard: any XI
     // the protocol sends stays shard-owned. The IO agent is in no
     // shard, so agent-held lines always defer.
-    const std::bitset<maxDirectoryCpus> &mine =
-        shardBits_[shardOf(cpu)];
+    const unsigned chip = topo_.chipOf(cpu);
+    const std::bitset<maxDirectoryCpus> &mine = shardBits_[chip];
     if (e.owner != invalidCpu &&
         (e.owner >= maxDirectoryCpus || !mine[e.owner]))
         return false;
@@ -409,30 +344,7 @@ Hierarchy::shardLocalEligible(CpuId cpu, Addr line,
     // defer/resolve decision independent of host-thread count. It
     // also guarantees the fetch is a chip-local L3 hit — no L4 or
     // fabric traffic to model.
-    const unsigned chip = topo_.chipOf(cpu);
-    if (e.l3Mask != std::uint64_t(1) << chip)
-        return false;
-    if (shardGroupsPerChip_ == 1)
-        return true; // whole-chip shard: chip-confined, resolve now
-
-    // Sub-chip shards share their chip's L3 with sibling groups, so
-    // two more conditions keep the fast path race-free: the line
-    // must be homed to this group (per-line hashing gives exactly
-    // one group in-phase mutation rights over the directory entry),
-    // and the install must not evict in-phase — an L2 eviction
-    // would strip a holder that a sibling group's eligibility check
-    // may concurrently read. Evicting installs are admitted anyway
-    // while the CPU's overflow buffer has room: the new line parks
-    // there and the eviction happens serially at the barrier drain.
-    // Without the buffer this rule disables the fast path outright
-    // once the L2 warms up (every install evicts).
-    if (homeGroupOf(line) != groupOf(cpu))
-        return false;
-    const auto p = l2_[cpu].probeForInsert(line);
-    if (p.hit || !p.wouldEvict)
-        return true;
-    const OverflowBuf &ob = l2Overflow_[cpu];
-    return ob.n < l2OverflowCapacity || inL2Overflow(cpu, line);
+    return e.l3Mask == std::uint64_t(1) << chip;
 }
 
 DataSource
@@ -455,40 +367,19 @@ Hierarchy::installShardLocal(CpuId cpu, Addr line)
     // Eligibility guarantees the line is already L3-resident on this
     // chip and, by inclusivity, L4-resident — and a real on-chip L3
     // hit never leaves the chip, so L4 recency is deliberately not
-    // refreshed. The L3 LRU update is safe only for whole-chip
-    // shards (sole in-phase user of the chip's array); sub-chip
-    // shards share it with sibling groups and skip the update, at
-    // the cost of slightly staler L3 recency under fine sharding.
+    // refreshed. The shard is the sole in-phase user of its chip's
+    // L3, so the LRU update is safe; the L2 eviction (and its
+    // LRU-XI) stays inside the shard and is handled exactly as on
+    // the serial path.
     const unsigned chip = topo_.chipOf(cpu);
-    if (shardGroupsPerChip_ == 1) {
-        if (!l3_[chip].touch(line))
-            ztx_panic("shard-local install: line 0x", std::hex, line,
-                      std::dec, " not L3-resident on chip ", chip,
-                      " despite residency mask");
-    } else if (!l3_[chip].contains(line)) {
+    if (!l3_[chip].touch(line))
         ztx_panic("shard-local install: line 0x", std::hex, line,
                   std::dec, " not L3-resident on chip ", chip,
                   " despite residency mask");
-    }
     const auto p2 = l2_[cpu].probeForInsert(line);
     if (p2.hit) {
         l2_[cpu].touchAt(p2);
-    } else if (inL2Overflow(cpu, line)) {
-        // Already pending from earlier in this quantum (the
-        // line was stripped from the L1 but not the buffer, or
-        // re-fetched after a demote); nothing more to do.
-    } else if (shardGroupsPerChip_ > 1 && p2.wouldEvict) {
-        // Sub-chip shard, evicting install: park the line in
-        // the overflow buffer — eligibility guaranteed a free
-        // slot — and leave the eviction (directory removal,
-        // inclusivity LRU-XI) to the serial barrier drain.
-        OverflowBuf &ob = l2Overflow_[cpu];
-        ob.lines[ob.n++] = line;
-        ++hot_[cpu].l2OverflowAdmit;
     } else {
-        // Whole-chip shards evict in-phase: the eviction (and
-        // its LRU-XI) stays inside the shard and is handled
-        // exactly as on the serial path.
         const auto victim = l2_[cpu].insertAt(p2, line);
         if (victim.valid)
             handleL2Evict(cpu, victim.line);
@@ -735,13 +626,6 @@ Hierarchy::flushCpuCaches(CpuId cpu)
         l2_[cpu].invalidate(line);
         dir_.remove(line, cpu);
     }
-    // Pending overflow installs are flushed like resident lines.
-    OverflowBuf &ob = l2Overflow_[cpu];
-    for (unsigned i = 0; i < ob.n; ++i) {
-        l1_[cpu].invalidate(ob.lines[i]);
-        dir_.remove(ob.lines[i], cpu);
-    }
-    ob.n = 0;
     std::fill(lruExt_[cpu].begin(), lruExt_[cpu].end(), false);
     lruExtTracked_[cpu].clear();
 }
@@ -869,7 +753,6 @@ Hierarchy::foldHotCounters() const
         sum.txDirtyKilled += h.txDirtyKilled;
         sum.fetchMiss += h.fetchMiss;
         sum.l2Evict += h.l2Evict;
-        sum.l2OverflowAdmit += h.l2OverflowAdmit;
         sum.xiReadOnly += h.xiReadOnly;
         sum.xiDemote += h.xiDemote;
         sum.xiExclusive += h.xiExclusive;
@@ -895,8 +778,6 @@ Hierarchy::foldHotCounters() const
     stats_.counter("l1.tx_dirty_killed")
         .inc(sum.txDirtyKilled - hotFolded_.txDirtyKilled);
     stats_.counter("l2.evict").inc(sum.l2Evict - hotFolded_.l2Evict);
-    stats_.counter("l2.overflow_admit")
-        .inc(sum.l2OverflowAdmit - hotFolded_.l2OverflowAdmit);
     stats_.counter("xi.read-only").inc(sum.xiReadOnly -
                                        hotFolded_.xiReadOnly);
     stats_.counter("xi.demote").inc(sum.xiDemote -
@@ -943,11 +824,10 @@ void
 Hierarchy::checkInvariants() const
 {
     for (unsigned cpu = 0; cpu < topo_.numCpus(); ++cpu) {
-        // L1 subset of L2 (counting pending overflow installs);
-        // L2 subset of L3 and L4; holders match the directory.
+        // L1 subset of L2, L2 subset of L3 and L4; holders match
+        // the directory.
         l1_[cpu].forEachValid([&](const CacheArray::Entry &e) {
-            if (!l2_[cpu].contains(e.line) &&
-                !inL2Overflow(cpu, e.line))
+            if (!l2_[cpu].contains(e.line))
                 ztx_panic("L1 line not in L2 (cpu ", cpu, ")");
         });
         l2_[cpu].forEachValid([&](const CacheArray::Entry &e) {
@@ -958,20 +838,6 @@ Hierarchy::checkInvariants() const
             if (!dir_.holds(cpu, e.line))
                 ztx_panic("L2 line not in directory (cpu ", cpu, ")");
         });
-        // Buffered lines obey the same inclusivity and directory
-        // rules as array-resident ones (eligibility pinned them to
-        // the own chip's L3 and the fetch registered the holder).
-        const OverflowBuf &ob = l2Overflow_[cpu];
-        for (unsigned i = 0; i < ob.n; ++i) {
-            const Addr line = ob.lines[i];
-            if (!l3_[topo_.chipOf(cpu)].contains(line))
-                ztx_panic("overflow line not in L3 (cpu ", cpu, ")");
-            if (!l4_[topo_.mcmOf(cpu)].contains(line))
-                ztx_panic("overflow line not in L4 (cpu ", cpu, ")");
-            if (!dir_.holds(cpu, line))
-                ztx_panic("overflow line not in directory (cpu ",
-                          cpu, ")");
-        }
     }
     if (!l3MaskTracked_)
         return;

@@ -17,7 +17,6 @@
 #ifndef ZTX_MEM_HIERARCHY_HH
 #define ZTX_MEM_HIERARCHY_HH
 
-#include <array>
 #include <bitset>
 #include <memory>
 #include <unordered_map>
@@ -99,15 +98,14 @@ class Hierarchy
     /**
      * Register the sharded scheduler's partition so local-only
      * fetches can use the shard-local fast path (DESIGN.md §5b).
-     * Shards are contiguous CPU id ranges: @p groups_per_chip core
-     * groups per chip, in chip-major order. 0 clears the partition
-     * (every non-private local-only access defers, the pre-fast-path
-     * behaviour). The eligibility decision depends only on this
+     * There is one shard per chip, holding the chip's CPUs below
+     * @p active_cpus; the I/O agent belongs to no shard. Without a
+     * registered partition every non-private local-only access
+     * defers. The eligibility decision depends only on this
      * partition and on cache state that is stable across a parallel
      * phase — never on host-thread count or interleaving.
      */
-    void setShardPartition(unsigned groups_per_chip,
-                           unsigned active_cpus);
+    void setShardPartition(unsigned active_cpus);
 
     /**
      * Forwarded to the coherence directory: while set, directory
@@ -115,46 +113,6 @@ class Hierarchy
      * catching any fast-path access that escaped its shard.
      */
     void setConcurrentPhase(bool on) { dir_.setConcurrentPhase(on); }
-
-    /**
-     * @name L2 overflow (victim) buffer — DESIGN.md §5b
-     *
-     * Sub-chip shards may not evict from the L2 inside the parallel
-     * phase: the displaced victim's directory entry can be homed to
-     * a sibling group whose eligibility check reads it concurrently.
-     * Instead of deferring every evicting install (the original SC2
-     * rule, which shuts the fast path off entirely once the L2 is
-     * warm), each CPU owns a small bounded overflow buffer that
-     * absorbs the freshly fetched line. Buffered lines are logically
-     * L2-resident — localHit(), eligibility, and the invariant
-     * checker all consult the buffer — and the *real* insert plus
-     * its eviction side effects (directory removal, inclusivity
-     * LRU-XI) run serially at the quantum barrier via
-     * drainL2Overflow(), in cpu-ascending FIFO order. Admission
-     * depends only on own-CPU state, so defer decisions remain
-     * independent of host-thread count; the deferred LRU-XI models a
-     * castout buffer that delays the inclusivity probe to the end of
-     * the quantum.
-     * @{
-     */
-    /** Per-CPU overflow capacity (lines). */
-    static constexpr unsigned l2OverflowCapacity = 8;
-
-    /**
-     * Perform the pending overflow installs for real: serial-phase
-     * only (quantum barrier start, before any deferred step).
-     */
-    void drainL2Overflow();
-
-    /** True if @p line is pending in @p cpu's overflow buffer. */
-    bool inL2Overflow(CpuId cpu, Addr line) const;
-
-    /** Occupied overflow slots of @p cpu (tests). */
-    unsigned l2OverflowUsed(CpuId cpu) const
-    {
-        return l2Overflow_[cpu].n;
-    }
-    /** @} */
 
     /**
      * @name Transactional bit plane (paper §III.C)
@@ -383,8 +341,6 @@ class Hierarchy
         std::uint64_t txDirtyKilled = 0;
         std::uint64_t fetchMiss = 0;
         std::uint64_t l2Evict = 0;
-        /** Evicting fast-path installs absorbed by the buffer. */
-        std::uint64_t l2OverflowAdmit = 0;
         // XI counters are indexed by the XI *target*, whose shard is
         // the one acting on its caches in the fast path.
         std::uint64_t xiReadOnly = 0;
@@ -406,36 +362,10 @@ class Hierarchy
     void propagatePoisonOnFill(CpuId cpu, Addr line,
                                const DirectoryEntry &pre,
                                DataSource source);
-    bool shardLocalEligible(CpuId cpu, Addr line,
-                            const DirectoryEntry &e) const;
+    bool shardLocalEligible(CpuId cpu, const DirectoryEntry &e) const;
     DataSource shardLocalSource(CpuId cpu, Addr line) const;
     void installShardLocal(CpuId cpu, Addr line);
 
-    /** Shard index of @p cpu under the registered partition. */
-    unsigned
-    shardOf(CpuId cpu) const
-    {
-        return topo_.chipOf(cpu) * shardGroupsPerChip_ +
-               groupOf(cpu);
-    }
-
-    /** Core group of @p cpu within its chip. */
-    unsigned
-    groupOf(CpuId cpu) const
-    {
-        return (cpu % topo_.coresPerChip()) / shardGroupSize_;
-    }
-
-    /**
-     * The core group holding in-phase mutation rights for @p line
-     * within each chip (sub-chip partitions hash lines to groups so
-     * two groups of one chip never race on a directory entry).
-     */
-    unsigned
-    homeGroupOf(Addr line) const
-    {
-        return unsigned((line >> lineSizeLog2) % shardGroupsPerChip_);
-    }
     XiResponse sendXi(XiKind kind, Addr line, CpuId target,
                       CpuId requester);
     Cycles probeDelay(XiKind kind, CpuId target, CpuId requester);
@@ -469,26 +399,12 @@ class Hierarchy
     std::vector<std::vector<Addr>> lruExtTracked_;
     bool lruExtEnabled_ = true;
     /**
-     * Shard partition for the local fast path: 0 groups per chip
-     * means no partition is registered (all non-private local-only
-     * accesses defer). shardBits_[s] holds the CPU-id membership of
-     * shard @c s; shardGroupSize_ is the contiguous-id width of one
-     * core group.
+     * Shard partition for the local fast path: shardBits_[chip]
+     * holds the CPU-id membership of that chip's shard. Empty means
+     * no partition is registered (all non-private local-only
+     * accesses defer).
      */
-    unsigned shardGroupsPerChip_ = 0;
-    unsigned shardGroupSize_ = 1;
     std::vector<std::bitset<maxDirectoryCpus>> shardBits_;
-    /**
-     * Per-CPU L2 overflow buffer (see the public doc block). Only
-     * the owning CPU's shard mutates its buffer during a parallel
-     * phase; the drain runs serially at the barrier.
-     */
-    struct OverflowBuf
-    {
-        std::array<Addr, l2OverflowCapacity> lines{};
-        unsigned n = 0;
-    };
-    std::vector<OverflowBuf> l2Overflow_;
     /**
      * Whether the directory's L3-residency mask is maintained
      * (topologies beyond maxDirectoryChips chips cannot use it, and

@@ -34,35 +34,24 @@ Machine::Machine(const MachineConfig &config)
         ztx_fatal("activeCpus ", n, " exceeds topology capacity ",
                   cfg_.topology.numCpus());
 
-    // Sharded mode: one event queue per core group (the whole chip
-    // by default), built before the CPUs so each CPU can bind its
-    // shard as its environment. The partition — and hence every
-    // defer decision — is a pure function of the configuration and
-    // topology, never of hostThreads.
+    // Sharded mode: one event queue per chip, built before the CPUs
+    // so each CPU can bind its shard as its environment. The
+    // partition — and hence every defer decision — is a pure
+    // function of the topology, never of hostThreads.
     if (cfg_.hostThreads > 0) {
         shardOfCpu_.assign(n, nullptr);
         const unsigned per_chip = cfg_.topology.coresPerChip();
-        const unsigned spc = effectiveShardsPerChip(cfg_);
-        const unsigned group_size = (per_chip + spc - 1) / spc;
         for (unsigned c = 0; c * per_chip < n; ++c) {
-            for (unsigned g = 0; g < spc; ++g) {
-                std::vector<CpuId> members;
-                const unsigned first =
-                    c * per_chip + g * group_size;
-                const unsigned last = std::min(
-                    {n, first + group_size, (c + 1) * per_chip});
-                for (unsigned i = first; i < last; ++i)
-                    members.push_back(i);
-                if (members.empty())
-                    continue;
-                shards_.push_back(
-                    std::make_unique<Shard>(*this, c, g, members));
-                for (const CpuId id : members)
-                    shardOfCpu_[id] = shards_.back().get();
-            }
+            std::vector<CpuId> members;
+            for (unsigned i = c * per_chip;
+                 i < std::min(n, (c + 1) * per_chip); ++i)
+                members.push_back(i);
+            shards_.push_back(
+                std::make_unique<Shard>(*this, c, members));
+            for (const CpuId id : members)
+                shardOfCpu_[id] = shards_.back().get();
         }
-        if (cfg_.shardLocalFastPath)
-            hierarchy_.setShardPartition(spc, n);
+        hierarchy_.setShardPartition(n);
     }
 
     cpus_.reserve(n);
@@ -105,30 +94,6 @@ Machine::Machine(const MachineConfig &config)
 }
 
 Machine::~Machine() = default;
-
-unsigned
-effectiveShardsPerChip(const MachineConfig &config)
-{
-    if (config.hostThreads == 0)
-        return 0; // legacy scheduler: no shard partition
-    const unsigned cores = config.topology.coresPerChip();
-    unsigned spc = config.hostShardsPerChip;
-    if (spc == 0) {
-        // Auto: multi-chip topologies already parallelize across
-        // chips; a single-chip topology is split into up to four
-        // core groups so the parallel phase has work to spread.
-        // The cap at four is deliberate: on a 16-core single-chip
-        // topology the measured serial fraction climbs from ~2% at
-        // one group to ~39% at sixteen (BENCH_scale.json,
-        // autosplit-sweep) because each extra group shrinks the
-        // per-line home-group hash's eligible share, converting
-        // fast-path hits into deferred serial steps.
-        spc = config.topology.numChips() > 1
-                  ? 1
-                  : std::min<unsigned>(cores, 4);
-    }
-    return std::min(spc, cores);
-}
 
 void
 Machine::setProgram(CpuId id, const isa::Program *program)
@@ -246,31 +211,11 @@ Machine::runLegacy(Cycles max_cycles)
             break;
         }
 
-        // Channel (I/O) traffic interleaves with CPU steps.
-        while (io_ && !io_->idle() && ioReadyAt_ <= now_) {
-            const Cycles io_cost = io_->pump();
-            ioReadyAt_ =
-                std::max(ioReadyAt_, now_) +
-                std::max<Cycles>(io_cost, 1);
-        }
-
+        pumpDueIo();
         if (cfg_.externalInterruptPeriod &&
             now_ >= nextInterrupt_[id]) {
-            cpus_[id]->deliverExternalInterrupt();
             extDeliveredCounter_.inc();
-            // A CPU parked for many periods (e.g. behind solo mode,
-            // or stalled on a long interrupt-service penalty) must
-            // not receive the missed ticks as a back-to-back burst:
-            // skip past every period boundary already behind us so
-            // at most one interrupt is delivered per period.
-            const Cycles period = cfg_.externalInterruptPeriod;
-            nextInterrupt_[id] += period;
-            if (nextInterrupt_[id] <= now_) {
-                const Cycles missed =
-                    (now_ - nextInterrupt_[id]) / period + 1;
-                extSkippedCounter_.inc(missed);
-                nextInterrupt_[id] += missed * period;
-            }
+            extSkippedCounter_.inc(deliverExternalInterrupt(id, now_));
         }
 
         if (injector_)
@@ -352,24 +297,11 @@ Machine::runSteered(Cycles max_cycles)
             break;
         }
 
-        while (io_ && !io_->idle() && ioReadyAt_ <= now_) {
-            const Cycles io_cost = io_->pump();
-            ioReadyAt_ = std::max(ioReadyAt_, now_) +
-                         std::max<Cycles>(io_cost, 1);
-        }
-
+        pumpDueIo();
         if (cfg_.externalInterruptPeriod &&
             now_ >= nextInterrupt_[id]) {
-            cpus_[id]->deliverExternalInterrupt();
             extDeliveredCounter_.inc();
-            const Cycles period = cfg_.externalInterruptPeriod;
-            nextInterrupt_[id] += period;
-            if (nextInterrupt_[id] <= now_) {
-                const Cycles missed =
-                    (now_ - nextInterrupt_[id]) / period + 1;
-                extSkippedCounter_.inc(missed);
-                nextInterrupt_[id] += missed * period;
-            }
+            extSkippedCounter_.inc(deliverExternalInterrupt(id, now_));
         }
 
         // Evaluated before *every* steered step, so scripted
@@ -393,15 +325,10 @@ Machine::runSharded(Cycles max_cycles)
     const bool bounded = max_cycles != ~Cycles(0);
     const Cycles end_cycle =
         bounded ? start + max_cycles : ~Cycles(0);
-    // Whole-chip shards with the fast path resolve every intra-chip
-    // interaction inside the parallel phase, so their quantum only
-    // has to bound cross-chip visibility. Sub-chip shards (and runs
-    // with the fast path disabled) still defer some same-chip
-    // traffic and keep the tighter all-paths bound.
-    const Cycles quantum =
-        cfg_.shardLocalFastPath && effectiveShardsPerChip(cfg_) == 1
-            ? cfg_.latency.minCrossChipLatency()
-            : cfg_.latency.minFabricLatency();
+    // Shards own whole chips and resolve every intra-chip
+    // interaction inside the parallel phase (the shard-local fast
+    // path), so the quantum only has to bound cross-chip visibility.
+    const Cycles quantum = cfg_.latency.minCrossChipLatency();
 
     for (auto &sh : shards_)
         sh->beginRun();
@@ -571,21 +498,13 @@ Machine::runParallel(Cycles q_end)
 void
 Machine::mergeQuantum(Cycles q_start, Cycles q_end)
 {
-    // 0. Complete the L2 installs the sub-chip fast path parked in
-    //    the per-CPU overflow buffers: the real inserts and their
-    //    eviction side effects (directory removal, inclusivity
-    //    LRU-XI) run here, serially, in cpu-ascending FIFO order,
-    //    before any deferred step can observe the caches.
-    hierarchy_.drainL2Overflow();
-
-    // 1. Solo-mode arbitration, ordered by (cycle, chip, group,
-    //    issue sequence). A halted holder releases automatically,
+    // 1. Solo-mode arbitration, ordered by (cycle, chip, issue
+    //    sequence). A halted holder releases automatically,
     //    as in the legacy scheduler.
     struct TaggedSolo
     {
         Cycles at;
         unsigned chip;
-        unsigned group;
         std::size_t seq;
         CpuId cpu;
         bool request;
@@ -600,15 +519,15 @@ Machine::mergeQuantum(Cycles q_start, Cycles q_end)
     for (auto &sh : shards_) {
         for (std::size_t i = 0; i < sh->soloOps_.size(); ++i) {
             const Shard::SoloOp &op = sh->soloOps_[i];
-            solo[solo_k++] = {op.at, sh->chip_, sh->group_, i,
-                              op.cpu, op.request};
+            solo[solo_k++] = {op.at, sh->chip_, i, op.cpu,
+                              op.request};
         }
         sh->soloOps_.clear();
     }
     std::sort(solo, solo + n_solo,
               [](const TaggedSolo &a, const TaggedSolo &b) {
-                  return std::tie(a.at, a.chip, a.group, a.seq) <
-                         std::tie(b.at, b.chip, b.group, b.seq);
+                  return std::tie(a.at, a.chip, a.seq) <
+                         std::tie(b.at, b.chip, b.seq);
               });
     for (std::size_t i = 0; i < n_solo; ++i) {
         const TaggedSolo &op = solo[i];
@@ -626,9 +545,8 @@ Machine::mergeQuantum(Cycles q_start, Cycles q_end)
         injector_->flushSharded(q_end);
 
     // 3. Deferred steps, re-executed serially in (cycle, cpu)
-    //    order — equivalent to (cycle, chip, group, cpu) since
-    //    shards own contiguous id ranges in chip-major, group-minor
-    //    order. A CPU parked behind a freshly granted solo holder
+    //    order — equivalent to (cycle, chip, cpu) since shards own
+    //    contiguous id ranges in chip order. A CPU parked behind a freshly granted solo holder
     //    retries next quantum instead.
     struct TaggedStep
     {
@@ -708,6 +626,19 @@ Machine::mergeQuantum(Cycles q_start, Cycles q_end)
     }
     mergeArena_.reset();
     stats_.counter("scheduler.quanta").inc();
+}
+
+std::uint64_t
+Machine::deliverExternalInterrupt(CpuId id, Cycles t)
+{
+    cpus_[id]->deliverExternalInterrupt();
+    const Cycles period = cfg_.externalInterruptPeriod;
+    nextInterrupt_[id] += period;
+    if (nextInterrupt_[id] > t)
+        return 0;
+    const Cycles missed = (t - nextInterrupt_[id]) / period + 1;
+    nextInterrupt_[id] += missed * period;
+    return missed;
 }
 
 void
@@ -829,11 +760,7 @@ machineConfigJson(const MachineConfig &config)
     meta["watchdog_cycles"] = std::uint64_t(config.watchdogCycles);
     // hostThreads is deliberately NOT serialized: stat documents
     // must stay byte-comparable across host-thread counts (the
-    // determinism contract of the sharded scheduler). The shard
-    // partition and fast-path toggle ARE serialized — they change
-    // defer decisions and hence simulated results.
-    meta["shards_per_chip"] = effectiveShardsPerChip(config);
-    meta["shard_local_fast_path"] = config.shardLocalFastPath;
+    // determinism contract of the sharded scheduler).
     if (config.faults.enabled())
         meta["faults"] = inject::faultPlanJson(config.faults);
 

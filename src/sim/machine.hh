@@ -20,6 +20,7 @@
 #ifndef ZTX_SIM_MACHINE_HH
 #define ZTX_SIM_MACHINE_HH
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <ostream>
@@ -99,8 +100,8 @@ struct MachineConfig
      * Scheduler selection. 0 (default): the legacy exact
      * single-threaded heap scheduler. >= 1: the sharded quantum
      * scheduler — one event queue per chip, synchronized at fixed
-     * quanta of LatencyModel::minFabricLatency() cycles, run on up
-     * to this many host threads. Any hostThreads >= 1 produces
+     * quanta of LatencyModel::minCrossChipLatency() cycles, run on
+     * up to this many host threads. Any hostThreads >= 1 produces
      * bit-identical results for a given config and seed (1 is the
      * determinism reference for 2, 4, ...); hostThreads = 0 may
      * interleave differently and is compared architecturally, not
@@ -108,33 +109,6 @@ struct MachineConfig
      * documents stay byte-comparable across host-thread counts.
      */
     unsigned hostThreads = 0;
-
-    /**
-     * Sub-chip sharding: split each chip of the sharded scheduler
-     * into this many core-group shards (contiguous CPU id ranges).
-     * 0 selects automatically: multi-chip topologies keep one shard
-     * per chip; a single-chip topology splits into up to four
-     * groups so the parallel scheduler still has work to spread.
-     * Clamped to coresPerChip(). The partition is a pure function
-     * of (this value, topology) — never of hostThreads — so every
-     * host-thread count runs the identical partition and stays
-     * bit-identical. Like hostThreads, this is serialized into
-     * machineConfigJson() as the *effective* shards_per_chip value,
-     * because changing the partition changes defer decisions and
-     * hence simulated results.
-     */
-    unsigned hostShardsPerChip = 0;
-
-    /**
-     * Shard-local L3 fast path (DESIGN.md §5b): let a shard resolve
-     * same-chip L3 hits and same-shard coherence entirely inside
-     * the parallel phase instead of deferring them to the barrier,
-     * and widen the quantum of whole-chip shards to the minimum
-     * cross-chip latency. Off reproduces the pre-fast-path
-     * scheduler (every non-private access defers); the toggle
-     * changes simulated timing and is serialized.
-     */
-    bool shardLocalFastPath = true;
 
     /**
      * Schedule steering hook (enumeration-mode stepping, see
@@ -150,14 +124,6 @@ struct MachineConfig
      */
     inject::ScheduleSteer *steer = nullptr;
 };
-
-/**
- * The shard partition @p config resolves to: core groups per chip
- * for the sharded scheduler, 0 for the legacy scheduler. A pure
- * function of (hostShardsPerChip != 0, topology) — deliberately not
- * of hostThreads beyond its zero test.
- */
-unsigned effectiveShardsPerChip(const MachineConfig &config);
 
 /**
  * Host-side wall-clock breakdown of the sharded scheduler,
@@ -339,6 +305,31 @@ class Machine : public core::CpuEnv
     CpuId soloCpu_ = invalidCpu;
 
     void fireWatchdog();
+
+    /**
+     * Deliver CPU @p id's due external interrupt at time @p t and
+     * advance its next tick past @p t: at most one interrupt per
+     * period, so a CPU parked for many periods (behind solo mode,
+     * or stalled on a long interrupt-service penalty) never gets
+     * the missed ticks as a back-to-back burst. The caller checks
+     * that an interrupt is due and counts the delivery.
+     * @return Periods skipped (for external.periods_skipped).
+     */
+    std::uint64_t deliverExternalInterrupt(CpuId id, Cycles t);
+
+    /**
+     * Serial schedulers: pump channel (I/O) transfers whose ready
+     * time has come, so channel traffic interleaves with CPU steps.
+     */
+    void
+    pumpDueIo()
+    {
+        while (io_ && !io_->idle() && ioReadyAt_ <= now_) {
+            const Cycles cost = io_->pump();
+            ioReadyAt_ = std::max(ioReadyAt_, now_) +
+                         std::max<Cycles>(cost, 1);
+        }
+    }
 
     /** The legacy exact single-threaded scheduler (hostThreads=0). */
     Cycles runLegacy(Cycles max_cycles);

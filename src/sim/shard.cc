@@ -7,10 +7,8 @@
 
 namespace ztx::sim {
 
-Shard::Shard(Machine &machine, unsigned chip, unsigned group,
-             std::vector<CpuId> cpus)
-    : machine_(machine), chip_(chip), group_(group),
-      cpus_(std::move(cpus))
+Shard::Shard(Machine &machine, unsigned chip, std::vector<CpuId> cpus)
+    : machine_(machine), chip_(chip), cpus_(std::move(cpus))
 {
     deferred_.bind(arena_);
     soloOps_.bind(arena_);
@@ -114,19 +112,8 @@ Shard::runQuantum(Cycles q_end)
 
         if (machine_.cfg_.externalInterruptPeriod &&
             t >= machine_.nextInterrupt_[id]) {
-            machine_.cpus_[id]->deliverExternalInterrupt();
             ++extDelivered_;
-            // Same catch-up rule as the legacy scheduler: at most
-            // one interrupt per period boundary, skipped periods
-            // are counted, never delivered as a burst.
-            const Cycles period = machine_.cfg_.externalInterruptPeriod;
-            machine_.nextInterrupt_[id] += period;
-            if (machine_.nextInterrupt_[id] <= t) {
-                const Cycles missed =
-                    (t - machine_.nextInterrupt_[id]) / period + 1;
-                extSkipped_ += missed;
-                machine_.nextInterrupt_[id] += missed * period;
-            }
+            extSkipped_ += machine_.deliverExternalInterrupt(id, t);
         }
 
         if (machine_.injector_)

@@ -1,19 +1,17 @@
 /**
  * @file
  * One shard of the sharded parallel scheduler: the event queue of
- * one core group of one chip (the whole chip by default), runnable
- * on a host thread.
+ * one chip, runnable on a host thread.
  *
  * The Machine synchronizes shards in fixed cycle quanta (gem5-style)
  * sized to the fastest path that can cross a shard boundary: the
- * minimum cross-chip latency for whole-chip shards with the
- * shard-local fast path, the minimum fabric latency otherwise.
- * Within a quantum every shard steps only shard-owned work — own
- * L1/L2 hits, own transactional bits, own store cache, self-aborts,
- * and (with the fast path) same-chip L3 hits and same-shard
- * coherence — while anything that would leave the shard, touch the
- * OS, or arbitrate solo mode is *deferred* and re-executed serially
- * at the quantum barrier in a deterministic order. Because the
+ * minimum cross-chip latency. Within a quantum every shard steps
+ * only shard-owned work — own L1/L2 hits, own transactional bits,
+ * own store cache, self-aborts, and (through the shard-local fast
+ * path) same-chip L3 hits and same-shard coherence — while anything
+ * that would leave the shard, touch the OS, or arbitrate solo mode
+ * is *deferred* and re-executed serially at the quantum barrier in
+ * a deterministic order. Because the
  * decision to defer depends only on the shard partition and cache
  * state — never on how many host threads drive the shards — an
  * N-thread run is bit-identical to the 1-thread run. See DESIGN.md
@@ -49,12 +47,9 @@ class Shard final : public core::CpuEnv
     /**
      * @param machine Owning machine (shared state, merge point).
      * @param chip Chip index this shard covers (merge tie-break).
-     * @param group Core-group index within the chip (sub-chip
-     *        sharding; 0 for whole-chip shards; merge tie-break).
      * @param cpus Member CPU ids (a contiguous id range).
      */
-    Shard(Machine &machine, unsigned chip, unsigned group,
-          std::vector<CpuId> cpus);
+    Shard(Machine &machine, unsigned chip, std::vector<CpuId> cpus);
 
     /** @name core::CpuEnv @{ */
     Cycles now() const override { return curTime_; }
@@ -90,9 +85,6 @@ class Shard final : public core::CpuEnv
     /** Chip index. */
     unsigned chip() const { return chip_; }
 
-    /** Core-group index within the chip. */
-    unsigned group() const { return group_; }
-
   private:
     friend class Machine;
 
@@ -120,7 +112,6 @@ class Shard final : public core::CpuEnv
 
     Machine &machine_;
     unsigned chip_;
-    unsigned group_;
     std::vector<CpuId> cpus_;
 
     using HeapEntry = std::pair<Cycles, CpuId>;

@@ -3,13 +3,14 @@
  * The sharded quantum scheduler (hostThreads >= 1): bit-identical
  * stats across host-thread counts — with and without fault
  * injection — architectural agreement with the legacy scheduler,
- * no lost work under real host concurrency, and the event-driven
- * watchdog counting I/O completions as forward progress.
+ * no lost work under real host concurrency, the structural,
+ * linearizability and order-inference oracles on contended
+ * workloads, and the event-driven watchdog counting I/O
+ * completions as forward progress.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -18,6 +19,9 @@
 
 #include "inject/fault_plan.hh"
 #include "mem/latency_model.hh"
+#include "workload/hashtable.hh"
+#include "workload/list_set.hh"
+#include "workload/queue.hh"
 #include "ztx_test_util.hh"
 
 namespace {
@@ -275,11 +279,9 @@ missHeavyProgram(Addr base, unsigned lines, unsigned sweeps)
 
 /** shardedConfig with caches small enough to force L3 traffic. */
 sim::MachineConfig
-missHeavyConfig(std::uint64_t seed, unsigned host_threads,
-                unsigned shards_per_chip)
+missHeavyConfig(std::uint64_t seed, unsigned host_threads)
 {
     auto cfg = shardedConfig(seed, host_threads);
-    cfg.hostShardsPerChip = shards_per_chip;
     cfg.geometry.l1 = {4 * 1024, 2};
     cfg.geometry.l2 = {16 * 1024, 4};
     cfg.geometry.l3 = {1024 * 1024, 8};
@@ -318,34 +320,30 @@ TEST(Sharded, MissHeavyDeterminismMatrix)
     // The fast path's acceptance gate: with capacity misses forcing
     // L3 traffic through the shard-local path, the stats document
     // and final memory stay byte-identical across host-thread
-    // counts for every sub-chip partition, with and without chaos.
+    // counts, with and without chaos.
     inject::FaultPlan chaos;
     chaos.spuriousAbortRate = 0.002;
     chaos.delayedXiRate = 0.05;
     chaos.xiDelayMax = 60;
 
-    for (const unsigned spc : {1u, 2u}) {
-        for (const bool inject_chaos : {false, true}) {
-            auto make = [&](unsigned threads) {
-                auto cfg = missHeavyConfig(31, threads, spc);
-                if (inject_chaos) {
-                    cfg.faults = chaos;
-                    cfg.watchdogCycles = 2'000'000;
-                }
-                return cfg;
-            };
-            const auto ref = runMissHeavy(make(1));
-            for (const unsigned threads : {2u, 4u}) {
-                const auto got = runMissHeavy(make(threads));
-                EXPECT_EQ(ref.first, got.first)
-                    << "stats diverged: spc " << spc << ", "
-                    << threads << " host threads, chaos="
-                    << inject_chaos;
-                EXPECT_EQ(ref.second, got.second)
-                    << "memory diverged: spc " << spc << ", "
-                    << threads << " host threads, chaos="
-                    << inject_chaos;
+    for (const bool inject_chaos : {false, true}) {
+        auto make = [&](unsigned threads) {
+            auto cfg = missHeavyConfig(31, threads);
+            if (inject_chaos) {
+                cfg.faults = chaos;
+                cfg.watchdogCycles = 2'000'000;
             }
+            return cfg;
+        };
+        const auto ref = runMissHeavy(make(1));
+        for (const unsigned threads : {2u, 4u}) {
+            const auto got = runMissHeavy(make(threads));
+            EXPECT_EQ(ref.first, got.first)
+                << "stats diverged: " << threads
+                << " host threads, chaos=" << inject_chaos;
+            EXPECT_EQ(ref.second, got.second)
+                << "memory diverged: " << threads
+                << " host threads, chaos=" << inject_chaos;
         }
     }
 }
@@ -354,43 +352,8 @@ TEST(Sharded, ShardLocalFastPathResolvesL3HitsInPhase)
 {
     // Directed: steady-state L3 re-hits on private regions must be
     // resolved inside the parallel phase (sched.l3_local_hits),
-    // not deferred to the barrier — and disabling the fast path
-    // must push exactly that traffic back to the serial path.
-    auto run_counters = [](bool fast_path) {
-        auto cfg = missHeavyConfig(31, 1, 1);
-        cfg.shardLocalFastPath = fast_path;
-        sim::Machine m(cfg);
-        std::vector<Program> programs;
-        for (unsigned i = 0; i < m.numCpus(); ++i)
-            programs.push_back(missHeavyProgram(
-                dataBase + Addr(i) * 0x2'0000, 128, 3));
-        for (unsigned i = 0; i < m.numCpus(); ++i)
-            m.setProgram(i, &programs[i]);
-        m.run();
-        EXPECT_TRUE(m.allHalted());
-        auto &st = m.stats();
-        return std::array<std::uint64_t, 3>{
-            st.counter("sched.l3_local_hits").value(),
-            st.counter("sched.steps_deferred").value(),
-            st.counter("sched.steps_total").value()};
-    };
-    const auto on = run_counters(true);
-    const auto off = run_counters(false);
-    EXPECT_GT(on[0], 0u) << "no shard-local L3 hits recorded";
-    EXPECT_EQ(off[0], 0u) << "fast path fired while disabled";
-    EXPECT_LT(on[1], off[1])
-        << "fast path did not reduce deferred steps";
-    EXPECT_GT(on[2], 0u);
-}
-
-TEST(Sharded, OverflowBufferAdmitsSubChipInstalls)
-{
-    // Sub-chip shards may not evict from the L2 in-phase; without
-    // the overflow buffer the no-evict rule shuts the fast path off
-    // once the L2 warms up. The miss-heavy sweep at spc=2 must show
-    // both buffer admissions and in-phase L3 resolutions.
-    auto cfg = missHeavyConfig(31, 1, 2);
-    sim::Machine m(cfg);
+    // not deferred to the barrier.
+    sim::Machine m(missHeavyConfig(31, 1));
     std::vector<Program> programs;
     for (unsigned i = 0; i < m.numCpus(); ++i)
         programs.push_back(missHeavyProgram(
@@ -398,15 +361,11 @@ TEST(Sharded, OverflowBufferAdmitsSubChipInstalls)
     for (unsigned i = 0; i < m.numCpus(); ++i)
         m.setProgram(i, &programs[i]);
     m.run();
-    ASSERT_TRUE(m.allHalted());
-    EXPECT_GT(m.hierarchy()
-                  .stats()
-                  .counter("l2.overflow_admit")
-                  .value(),
-              0u)
-        << "no install ever used the overflow buffer";
-    EXPECT_GT(m.stats().counter("sched.l3_local_hits").value(), 0u)
-        << "sub-chip fast path never resolved an access in-phase";
+    EXPECT_TRUE(m.allHalted());
+    auto &st = m.stats();
+    EXPECT_GT(st.counter("sched.l3_local_hits").value(), 0u)
+        << "no shard-local L3 hits recorded";
+    EXPECT_GT(st.counter("sched.steps_total").value(), 0u);
 }
 
 /** zEC12-like full topology: 6 cores x 6 chips x 4 MCMs = 144. */
@@ -417,7 +376,6 @@ fullTopologyConfig(std::uint64_t seed, unsigned host_threads)
     cfg.topology = mem::Topology(6, 6, 4);
     cfg.seed = seed;
     cfg.hostThreads = host_threads;
-    cfg.hostShardsPerChip = 2; // sub-chip shards: hardest case
     cfg.geometry.l1 = {4 * 1024, 2};
     cfg.geometry.l2 = {16 * 1024, 4};
     cfg.geometry.l3 = {8 * 1024 * 1024, 12};
@@ -429,8 +387,7 @@ TEST(Sharded, FullTopologyDeterminismMatrix)
 {
     // The scale campaign's correctness gate on the real 144-CPU
     // zEC12 topology: stats and memory bit-identical across host
-    // threads with sub-chip shards (and thus the overflow buffer)
-    // engaged. Shorter sweeps than the 8-CPU matrix keep 9 runs of
+    // threads. Shorter sweeps than the 8-CPU matrix keep 9 runs of
     // 144 CPUs inside the test timeout.
     auto run = [](const sim::MachineConfig &cfg) {
         sim::Machine m(cfg);
@@ -472,9 +429,9 @@ TEST(Sharded, LegacyArchStatsMatchShardedFullTopology)
     // determinism matrix: it is compared architecturally, not on
     // the raw document (MachineConfig doc) — but "architecturally"
     // is in fact everything except the scheduler's own bookkeeping.
-    // Strip the sched.* / scheduler.* counters and the
-    // shards_per_chip config echo and the remaining stats document
-    // must be byte-identical between the two schedulers.
+    // Strip the sched.* / scheduler.* counters and the remaining
+    // stats document must be byte-identical between the two
+    // schedulers.
     auto arch_stats = [](const sim::MachineConfig &cfg) {
         sim::Machine m(cfg);
         std::vector<Program> programs;
@@ -493,9 +450,7 @@ TEST(Sharded, LegacyArchStatsMatchShardedFullTopology)
         std::string line;
         while (std::getline(in, line)) {
             if (line.find("\"sched.") != std::string::npos ||
-                line.find("\"scheduler.") != std::string::npos ||
-                line.find("\"shards_per_chip\"") !=
-                    std::string::npos)
+                line.find("\"scheduler.") != std::string::npos)
                 continue;
             filtered += line;
             filtered += '\n';
@@ -607,14 +562,108 @@ TEST(Sharded, HeapCarriesAcrossQuantaAndRuns)
 
 TEST(Sharded, QuantumLatencyBounds)
 {
-    // The quantum bounds the fast path relies on: the cheapest
-    // same-chip interaction (sub-chip shard quantum) and the
-    // cheapest cross-chip interaction (whole-chip quantum with the
-    // fast path on) at default latencies.
+    // The quantum the fast path relies on: the cheapest cross-chip
+    // interaction at default latencies.
     const mem::LatencyModel lat;
-    EXPECT_EQ(lat.minIntraChipLatency(), 28u);
     EXPECT_EQ(lat.minCrossChipLatency(), 68u);
-    EXPECT_EQ(lat.minFabricLatency(), 28u);
+}
+
+/**
+ * Oracle runs on the sharded scheduler: smallConfig(4) puts the
+ * four CPUs on two chips (two shards), so the contended structures
+ * cross shards and every cross-chip access defers to the barrier.
+ */
+sim::MachineConfig
+oracleMachine(bool chaos)
+{
+    sim::MachineConfig cfg = smallConfig(4);
+    cfg.watchdogCycles = 2'000'000;
+    if (chaos) {
+        cfg.faults.xiStormRate = 0.005;
+        cfg.faults.spuriousAbortRate = 0.002;
+        cfg.faults.delayedXiRate = 0.1;
+        cfg.faults.xiDelayMax = 200;
+    }
+    return cfg;
+}
+
+/**
+ * Run @p cfg (op-log on) through @p run at hostThreads 1, 2 and 4,
+ * without and with the chaos mix. Every run must pass the
+ * structural oracle and the order-inferred linearizability check
+ * without a watchdog stop; elapsed cycles and the final structure
+ * (@p outcome) must match the 1-thread run.
+ */
+template <typename Config, typename Run, typename Outcome>
+void
+expectOraclesAcrossHostThreads(Config cfg, Run run, Outcome outcome)
+{
+    cfg.cpus = 4;
+    cfg.iterations = 40;
+    cfg.opLog = true;
+    for (const bool chaos : {false, true}) {
+        cfg.machine = oracleMachine(chaos);
+        Cycles ref_cycles = 0;
+        decltype(outcome(run(cfg))) ref_outcome{};
+        for (const unsigned threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE(testing::Message()
+                         << threads << " host threads, chaos="
+                         << chaos);
+            cfg.machine.hostThreads = threads;
+            const auto res = run(cfg);
+            EXPECT_FALSE(res.watchdogFired);
+            EXPECT_TRUE(res.oracle.ok) << res.oracle.summary();
+            ASSERT_TRUE(res.lincheck.checked) << res.lincheck.reason;
+            EXPECT_TRUE(res.lincheck.linearizable)
+                << res.lincheck.reason;
+            EXPECT_TRUE(res.orderInfer.inferred)
+                << res.orderInfer.fallbackReason;
+            if (threads == 1) {
+                ref_cycles = res.elapsedCycles;
+                ref_outcome = outcome(res);
+            } else {
+                EXPECT_EQ(res.elapsedCycles, ref_cycles);
+                EXPECT_EQ(outcome(res), ref_outcome);
+            }
+        }
+    }
+}
+
+TEST(Sharded, ElidedListSetOraclesHoldAcrossHostThreads)
+{
+    workload::ListSetBenchConfig cfg;
+    cfg.useElision = true;
+    expectOraclesAcrossHostThreads(
+        cfg, workload::runListSetBench,
+        [](const workload::ListSetBenchResult &r) {
+            EXPECT_TRUE(r.sorted);
+            EXPECT_TRUE(r.lengthConsistent);
+            return std::tuple(r.finalLength, r.txCommits, r.txAborts);
+        });
+}
+
+TEST(Sharded, ElidedHashTableOraclesHoldAcrossHostThreads)
+{
+    workload::HashTableBenchConfig cfg;
+    cfg.useElision = true;
+    expectOraclesAcrossHostThreads(
+        cfg, workload::runHashTableBench,
+        [](const workload::HashTableBenchResult &r) {
+            return std::tuple(r.occupiedBuckets, r.txCommits,
+                              r.txAborts);
+        });
+}
+
+TEST(Sharded, ConstrainedQueueOraclesHoldAcrossHostThreads)
+{
+    workload::QueueBenchConfig cfg;
+    cfg.useConstrainedTx = true;
+    expectOraclesAcrossHostThreads(
+        cfg, workload::runQueueBench,
+        [](const workload::QueueBenchResult &r) {
+            return std::tuple(r.finalLength, r.dequeuedNonEmpty,
+                              r.txCommits, r.txAborts);
+        });
 }
 
 /** Spin forever: no commit, no region close, no halt. */

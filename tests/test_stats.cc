@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "common/json.hh"
@@ -65,12 +66,16 @@ TEST(Histogram, BucketsAndOverflow)
     h.sample(35.0);
     h.sample(40.0);  // overflow
     h.sample(999.0); // overflow
+    // Values a size_t cannot hold, and NaN, are overflow too.
+    h.sample(std::numeric_limits<double>::infinity());
+    h.sample(1e300);
+    h.sample(std::numeric_limits<double>::quiet_NaN());
     EXPECT_EQ(h.bucketCount(0), 2u);
     EXPECT_EQ(h.bucketCount(1), 1u);
     EXPECT_EQ(h.bucketCount(2), 0u);
     EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.bucketCount(4), 2u);
-    EXPECT_EQ(h.total(), 6u);
+    EXPECT_EQ(h.bucketCount(4), 5u);
+    EXPECT_EQ(h.total(), 9u);
 }
 
 TEST(Histogram, NegativeClampsToFirstBucket)
