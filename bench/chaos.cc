@@ -22,9 +22,15 @@
  * fires, so the binary doubles as a stress gate (chaos_smoke).
  * Everything derives from the machine seed: the same invocation
  * replays bit-identically.
+ *
+ * --host-threads N (default 0, the legacy scheduler) runs every
+ * point on the sharded scheduler with N host threads, so the same
+ * oracles also gate that run loop under fault injection.
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -162,6 +168,32 @@ addCheckerSection(Json &rec, const Outcome &out)
     }
 }
 
+/**
+ * The `--host-threads N` / `--host-threads=N` operand, 0 when absent.
+ * Exits with status 2 on a malformed value.
+ */
+unsigned
+hostThreadsArg(int argc, char **argv)
+{
+    const char *value = nullptr;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--host-threads") == 0)
+            value = i + 1 < argc ? argv[i + 1] : "";
+        else if (std::strncmp(argv[i], "--host-threads=", 15) == 0)
+            value = argv[i] + 15;
+    }
+    if (!value)
+        return 0;
+    char *end = nullptr;
+    const unsigned long n = std::strtoul(value, &end, 10);
+    if (*value == '\0' || *end != '\0' || n > 64) {
+        std::fprintf(stderr, "chaos: --host-threads needs an integer "
+                             "in [0, 64], got '%s'\n", value);
+        std::exit(2);
+    }
+    return unsigned(n);
+}
+
 } // namespace
 
 int
@@ -169,12 +201,15 @@ main(int argc, char **argv)
 {
     using namespace ztx::workload;
 
+    const unsigned host_threads = hostThreadsArg(argc, argv);
     bench::JsonReport report("chaos", argc, argv);
     report.setMachineConfig(bench::benchMachine());
     const unsigned iters = bench::benchIterations();
     report.meta()["iterations"] = iters;
     report.meta()["watchdog_cycles"] =
         std::uint64_t(watchdogWindow);
+    if (host_threads != 0)
+        report.meta()["host_threads"] = host_threads;
 
     std::printf("# Chaos sweep: oracle-checked workloads under "
                 "fault injection\n");
@@ -203,6 +238,7 @@ main(int argc, char **argv)
             sim::MachineConfig mcfg = bench::benchMachine();
             mcfg.faults = plan;
             mcfg.watchdogCycles = watchdogWindow;
+            mcfg.hostThreads = host_threads;
 
             Outcome out;
             Json rec = Json::object();
@@ -307,6 +343,7 @@ main(int argc, char **argv)
         sim::MachineConfig mcfg = bench::benchMachine();
         mcfg.faults = plan;
         mcfg.watchdogCycles = watchdogWindow;
+        mcfg.hostThreads = host_threads;
 
         Outcome out;
         Json rec = Json::object();

@@ -8,10 +8,12 @@
 #ifndef ZTX_COMMON_STATS_HH
 #define ZTX_COMMON_STATS_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ztx {
@@ -174,6 +176,56 @@ class StatGroup
     std::map<std::string, Distribution> distributions_;
     std::map<std::string, Histogram> histograms_;
 };
+
+/**
+ * A counter of a StatGroup for per-event sites. It binds to its map
+ * node on the first inc() — so a counter that never fires never
+ * becomes a key, exactly as with StatGroup::counter() — and after
+ * that increments through the bound pointer with no name lookup.
+ * Not copyable: a handle points into the group of the object that
+ * owns both.
+ */
+class CounterHandle
+{
+  public:
+    /** @param name Static storage (a literal or a static table). */
+    CounterHandle(StatGroup &group, const char *name)
+        : group_(group), name_(name)
+    {
+    }
+
+    CounterHandle(const CounterHandle &) = delete;
+    CounterHandle &operator=(const CounterHandle &) = delete;
+
+    /** Add @p n events (default 1), registering the counter first. */
+    void
+    inc(std::uint64_t n = 1)
+    {
+        if (!counter_) [[unlikely]]
+            counter_ = &group_.counter(name_);
+        counter_->inc(n);
+    }
+
+  private:
+    StatGroup &group_;
+    const char *name_;
+    Counter *counter_ = nullptr;
+};
+
+/**
+ * One handle into @p group per name of @p names (static storage):
+ * per-reason counter families such as "tx.abort.<reason>".
+ */
+template <std::size_t N>
+std::array<CounterHandle, N>
+makeCounterHandles(StatGroup &group,
+                   const std::array<std::string, N> &names)
+{
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+        return std::array<CounterHandle, N>{
+            CounterHandle(group, names[I].c_str())...};
+    }(std::make_index_sequence<N>{});
+}
 
 } // namespace ztx
 

@@ -30,6 +30,60 @@ Cpu::Cpu(CpuId id, mem::Hierarchy &hier, mem::MainMemory &memory,
 
 Cpu::~Cpu() = default;
 
+namespace {
+
+/** Counter names "<prefix><name(i)>" for i < N, built once. */
+template <std::size_t N, typename NameFn>
+std::array<std::string, N>
+prefixedNames(const char *prefix, NameFn name)
+{
+    std::array<std::string, N> names;
+    for (std::size_t i = 0; i < N; ++i)
+        names[i] = std::string(prefix) + name(i);
+    return names;
+}
+
+const std::array<std::string, tx::allAbortReasons.size()> abortNames =
+    prefixedNames<tx::allAbortReasons.size()>(
+        "tx.abort.", [](std::size_t i) {
+            return tx::abortReasonName(tx::allAbortReasons[i]);
+        });
+
+const std::array<std::string, tx::numConstraintViolationKinds>
+    violationNames = prefixedNames<tx::numConstraintViolationKinds>(
+        "constraint_violation.", [](std::size_t i) {
+            return tx::constraintViolationName(
+                tx::ConstraintViolationKind(i));
+        });
+
+} // namespace
+
+Cpu::EventCounters::EventCounters(StatGroup &stats)
+    : instructions(stats, "instructions"),
+      lpswe(stats, "lpswe"),
+      fetchRejected(stats, "fetch.rejected"),
+      txOvermarks(stats, "tx.overmarks"),
+      xiReceived(stats, "xi.received"),
+      xiPoisonedSeen(stats, "xi.poisoned_seen"),
+      xiRejectsSent(stats, "xi.rejects_sent"),
+      l1TxReadEvicted(stats, "l1.tx_read_evicted"),
+      txBegins(stats, "tx.begins"),
+      txBeginsConstrained(stats, "tx.begins_constrained"),
+      txCommits(stats, "tx.commits"),
+      txCommitsConstrained(stats, "tx.commits_constrained"),
+      txAborts(stats, "tx.aborts"),
+      txAbortByReason(makeCounterHandles(stats, abortNames)),
+      constraintViolation(makeCounterHandles(stats, violationNames)),
+      millicodeConstrainedDelays(stats,
+                                 "millicode.constrained_delays"),
+      millicodeSpeculationReduced(stats,
+                                  "millicode.speculation_reduced"),
+      millicodeSoloRequests(stats, "millicode.solo_requests"),
+      millicodeSoloReleases(stats, "millicode.solo_releases"),
+      millicodePpa(stats, "millicode.ppa")
+{
+}
+
 void
 Cpu::setProgram(const isa::Program *program)
 {
@@ -150,7 +204,7 @@ Cpu::accessLines(Addr addr, unsigned size, bool exclusive,
                     : res.latency;
         if (res.rejected) {
             stalledOnReject_ = true;
-            stats_.counter("fetch.rejected").inc();
+            events_.fetchRejected.inc();
             return false;
         }
         if (abortedDuringStep_) {
@@ -183,7 +237,7 @@ Cpu::accessLines(Addr addr, unsigned size, bool exclusive,
         if (!res.deferred && !res.rejected && !abortedDuringStep_ &&
             inTx()) {
             hier_.markTxRead(id_, spec_line);
-            stats_.counter("tx.overmarks").inc();
+            events_.txOvermarks.inc();
         }
         if (abortedDuringStep_)
             return false;
@@ -324,8 +378,7 @@ Cpu::constraintViolation(tx::ConstraintViolationKind kind,
         deferredStep_ = true;
         return;
     }
-    stats_.counter(std::string("constraint_violation.") +
-                   tx::constraintViolationName(kind)).inc();
+    events_.constraintViolation[std::size_t(kind)].inc();
     // Non-filterable program interruption after the abort (§II.D).
     AbortContext actx;
     actx.reason = tx::AbortReason::ProgramInterrupt;
@@ -458,9 +511,9 @@ Cpu::diagnosticJson() const
 mem::XiResponse
 Cpu::incomingXi(const mem::XiContext &ctx)
 {
-    stats_.counter("xi.received").inc();
+    events_.xiReceived.inc();
     if (ctx.poisoned)
-        stats_.counter("xi.poisoned_seen").inc();
+        events_.xiPoisonedSeen.inc();
     const bool sc_tx = storeCache_.hasTransactionalLine(ctx.line);
     const bool tx_write = inTx() && (ctx.txDirty || sc_tx);
     const bool tx_read = inTx() && (ctx.txRead || ctx.lruExtHit);
@@ -494,7 +547,7 @@ Cpu::incomingXi(const mem::XiContext &ctx)
                 ctx.requester == env_.soloHolder();
             if (cfg_.stiffArmEnabled && !over_threshold &&
                 !yield_to_solo) {
-                stats_.counter("xi.rejects_sent").inc();
+                events_.xiRejectsSent.inc();
                 ztx_trace(trace::Category::Xi, "cpu", id_,
                           " rejects ", mem::xiKindName(ctx.kind),
                           " XI line=0x", std::hex, ctx.line);
@@ -545,7 +598,7 @@ Cpu::l1Evicted(Addr line, std::uint8_t flags)
 {
     (void)line;
     if (flags & mem::line_flag::txRead)
-        stats_.counter("l1.tx_read_evicted").inc();
+        events_.l1TxReadEvicted.inc();
 }
 
 Cpu::ExecResult
@@ -591,9 +644,9 @@ Cpu::beginTransaction(const isa::Program::Slot &slot, bool constrained)
         if (constrained)
             checker_.begin(slot.addr);
         txLevels_.clear();
-        stats_.counter("tx.begins").inc();
+        events_.txBegins.inc();
         if (constrained)
-            stats_.counter("tx.begins_constrained").inc();
+            events_.txBeginsConstrained.inc();
     }
     // TBEGINC inside a non-constrained transaction opens a regular
     // non-constrained nesting level (paper §II.D); its implicit
@@ -666,9 +719,9 @@ Cpu::endTransaction()
         constrained_ = false;
         millicode::MillicodeEngine::constrainedSuccess(*this);
     }
-    stats_.counter("tx.commits").inc();
+    events_.txCommits.inc();
     if (was_constrained)
-        stats_.counter("tx.commits_constrained").inc();
+        events_.txCommitsConstrained.inc();
     ++progressEvents_;
     env_.noteProgress(id_);
     psw_.cc = 0;
@@ -952,7 +1005,7 @@ Cpu::execute(const isa::Program::Slot &slot)
       case Opcode::LPSWE:
         // Privileged control operation; a no-op at this level of
         // modelling (restricted-in-TX handling happens in step()).
-        stats_.counter("lpswe").inc();
+        events_.lpswe.inc();
         break;
       case Opcode::INVALID:
         programException(tx::InterruptCode::Operation, slot.addr,
@@ -1119,7 +1172,7 @@ Cpu::step()
 
     if (res.completed && !abortedDuringStep_) {
         rejectsSinceCompletion_ = 0;
-        stats_.counter("instructions").inc();
+        events_.instructions.inc();
         // Superscalar approximation: up to dispatchWidth simple
         // single-cycle instructions complete per cycle.
         if (res.cost == 1 && cost >= 1) {

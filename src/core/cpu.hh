@@ -18,6 +18,7 @@
 #ifndef ZTX_CORE_CPU_HH
 #define ZTX_CORE_CPU_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -436,6 +437,42 @@ class Cpu : public mem::CacheClient
     bool versionArmed_ = false;
 
     StatGroup stats_;
+
+    /**
+     * Handles for the per-instruction, per-access, per-XI and
+     * per-tx-event counters of stats_, here and in millicode. Cold
+     * OS, RAS and injector sites keep stats_.counter("...").
+     */
+    struct EventCounters
+    {
+        explicit EventCounters(StatGroup &stats);
+
+        CounterHandle instructions;
+        CounterHandle lpswe;
+        CounterHandle fetchRejected;
+        CounterHandle txOvermarks;
+        CounterHandle xiReceived;
+        CounterHandle xiPoisonedSeen;
+        CounterHandle xiRejectsSent;
+        CounterHandle l1TxReadEvicted;
+        CounterHandle txBegins;
+        CounterHandle txBeginsConstrained;
+        CounterHandle txCommits;
+        CounterHandle txCommitsConstrained;
+        CounterHandle txAborts;
+        /** "tx.abort.<reason>", by tx::abortReasonIndex(). */
+        std::array<CounterHandle, tx::allAbortReasons.size()>
+            txAbortByReason;
+        /** "constraint_violation.<kind>", by kind. */
+        std::array<CounterHandle, tx::numConstraintViolationKinds>
+            constraintViolation;
+        CounterHandle millicodeConstrainedDelays;
+        CounterHandle millicodeSpeculationReduced;
+        CounterHandle millicodeSoloRequests;
+        CounterHandle millicodeSoloReleases;
+        CounterHandle millicodePpa;
+    };
+    EventCounters events_{stats_};
 };
 
 } // namespace ztx::core

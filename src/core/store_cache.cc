@@ -199,7 +199,7 @@ GatheringStoreCache::allocate(mem::MainMemory &memory)
     writeBack(*oldest, memory);
     indexRemove(oldest_idx);
     oldest->live = false;
-    stats_.counter("evictions").inc();
+    evictions_.inc();
     return oldest;
 }
 
@@ -225,7 +225,7 @@ GatheringStoreCache::storeBlockPiece(Entry &entry, Addr addr,
             // The architecture requires NTSTG targets not to overlap
             // other stores of the transaction; the outcome would be
             // unpredictable on real hardware. Record it.
-            stats_.counter("ntstg_overlap").inc();
+            ntstgOverlap_.inc();
         }
         entry.data[b] = bytes[i];
         entry.valid.set(b);
@@ -248,11 +248,11 @@ GatheringStoreCache::store(Addr addr, const std::uint8_t *bytes,
                                         addr));
         Entry *entry = findOpen(block, transactional);
         if (entry) {
-            stats_.counter("gathers").inc();
+            gathers_.inc();
         } else {
             entry = allocate(memory);
             if (!entry) {
-                stats_.counter("overflows").inc();
+                overflows_.inc();
                 return false;
             }
             entry->live = true;
@@ -263,7 +263,7 @@ GatheringStoreCache::store(Addr addr, const std::uint8_t *bytes,
             entry->valid.reset();
             entry->ntstg.reset();
             indexInsert(unsigned(entry - entries_.data()));
-            stats_.counter("allocations").inc();
+            allocations_.inc();
         }
         storeBlockPiece(*entry, addr, bytes, in_block, ntstg);
         addr += in_block;

@@ -219,6 +219,13 @@ class GatheringStoreCache
     /** @} */
 
     StatGroup stats_;
+    /** @name Per-store counters of stats_ @{ */
+    CounterHandle gathers_{stats_, "gathers"};
+    CounterHandle allocations_{stats_, "allocations"};
+    CounterHandle evictions_{stats_, "evictions"};
+    CounterHandle overflows_{stats_, "overflows"};
+    CounterHandle ntstgOverlap_{stats_, "ntstg_overlap"};
+    /** @} */
 };
 
 } // namespace ztx::core

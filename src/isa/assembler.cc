@@ -17,6 +17,10 @@ checkReg(unsigned r, const char *what)
 
 Assembler::Assembler(Addr base) : addr_(base)
 {
+    // Program::fetch indexes instructions by halfword.
+    if (base & 1)
+        ztx_fatal("assembler base 0x", std::hex, base, " is odd");
+    prog_.base_ = base;
 }
 
 Instruction &
@@ -28,7 +32,6 @@ Assembler::emit(Opcode op)
     slot.inst.op = op;
     slot.addr = addr_;
     slot.length = opcodeInfo(op).length;
-    prog_.byAddr_[addr_] = prog_.slots_.size();
     prog_.slots_.push_back(slot);
     addr_ += slot.length;
     return prog_.slots_.back().inst;
@@ -421,6 +424,10 @@ Assembler::finish()
             ztx_fatal("undefined label '", fix.label, "'");
         prog_.slots_[fix.slot].inst.target = it->second;
     }
+    prog_.slotAt_.assign((addr_ - prog_.base_) / 2, Program::noSlot);
+    for (std::size_t i = 0; i < prog_.slots_.size(); ++i)
+        prog_.slotAt_[(prog_.slots_[i].addr - prog_.base_) / 2] =
+            std::uint32_t(i);
     return std::move(prog_);
 }
 

@@ -4,13 +4,6 @@
 
 namespace ztx::isa {
 
-const Program::Slot *
-Program::fetch(Addr addr) const
-{
-    const auto it = byAddr_.find(addr);
-    return it == byAddr_.end() ? nullptr : &slots_[it->second];
-}
-
 Addr
 Program::entry() const
 {

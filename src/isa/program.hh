@@ -2,11 +2,18 @@
  * @file
  * An assembled program: instructions located at byte-accurate
  * addresses, fetched by address by the CPU interpreter.
+ *
+ * Instructions are 2, 4 or 6 bytes long and laid out back to back
+ * from an even base, so every instruction starts on a halfword. The
+ * assembler therefore records, for each halfword of the program's
+ * extent, the slot that starts there (or none), and fetch() is a
+ * bounds check plus one table load.
  */
 
 #ifndef ZTX_ISA_PROGRAM_HH
 #define ZTX_ISA_PROGRAM_HH
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,7 +42,16 @@ class Program
      * @return The slot, or nullptr when @p addr is not the address
      *         of any assembled instruction.
      */
-    const Slot *fetch(Addr addr) const;
+    const Slot *
+    fetch(Addr addr) const
+    {
+        // Below the base the offset wraps and fails the bounds check.
+        const Addr off = addr - base_;
+        if ((off & 1) || (off >> 1) >= slotAt_.size())
+            return nullptr;
+        const std::uint32_t i = slotAt_[off >> 1];
+        return i == noSlot ? nullptr : &slots_[i];
+    }
 
     /** Address of the first instruction. */
     Addr entry() const;
@@ -52,8 +68,13 @@ class Program
   private:
     friend class Assembler;
 
+    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
+
     std::vector<Slot> slots_;
-    std::unordered_map<Addr, std::size_t> byAddr_;
+    /** Address of the first instruction (even). */
+    Addr base_ = 0;
+    /** Slot index starting at halfword i of the extent, or noSlot. */
+    std::vector<std::uint32_t> slotAt_;
     std::unordered_map<std::string, Addr> labels_;
 };
 

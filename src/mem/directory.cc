@@ -141,6 +141,13 @@ CoherenceDirectory::holds(CpuId cpu, Addr line) const
            (std::uint64_t(1) << (cpu % 64));
 }
 
+CpuId
+CoherenceDirectory::ownerOf(Addr line) const
+{
+    const std::size_t i = findIndex(line);
+    return i == npos ? invalidCpu : owner_[i].load(relaxed);
+}
+
 void
 CoherenceDirectory::setExclusive(Addr line, CpuId cpu)
 {

@@ -74,6 +74,23 @@ struct DirectoryEntry
     {
         return owner == invalidCpu && sharers.none();
     }
+
+    /**
+     * Invoke @p fn(CpuId) for every holder: the owner, then each set
+     * sharer bit in ascending order (an owner is also its own
+     * sharer, so it is visited twice). Only set bits are visited.
+     */
+    template <typename Fn>
+    void
+    forEachHolder(Fn &&fn) const
+    {
+        if (owner != invalidCpu)
+            fn(owner);
+        // libstdc++'s word-wise set-bit scan.
+        for (std::size_t h = sharers._Find_first(); h < sharers.size();
+             h = sharers._Find_next(h))
+            fn(CpuId(h));
+    }
 };
 
 /** Map from line address to global coherence state. */
@@ -99,6 +116,9 @@ class CoherenceDirectory
 
     /** True if @p cpu holds @p line in any state. */
     bool holds(CpuId cpu, Addr line) const;
+
+    /** Exclusive owner of @p line, or invalidCpu (one word read). */
+    CpuId ownerOf(Addr line) const;
 
     /** Record @p cpu as the sole exclusive owner. */
     void setExclusive(Addr line, CpuId cpu);

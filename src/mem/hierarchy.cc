@@ -92,7 +92,8 @@ Hierarchy::localHit(CpuId cpu, Addr line)
 }
 
 DataSource
-Hierarchy::findSource(CpuId cpu, Addr line) const
+Hierarchy::findSource(CpuId cpu, Addr line,
+                      const DirectoryEntry &e) const
 {
     if (l1_[cpu].contains(line))
         return DataSource::L1;
@@ -100,19 +101,16 @@ Hierarchy::findSource(CpuId cpu, Addr line) const
         return DataSource::L2;
 
     // Nearest other holder supplies the line (cache intervention).
-    const DirectoryEntry e = dir_.lookup(line);
     Distance best = Distance::CrossMcm;
     bool found = false;
-    for (unsigned h = 0; h < topo_.numCpus(); ++h) {
-        if (CpuId(h) == cpu)
-            continue;
-        if (e.owner == CpuId(h) || e.sharers[h]) {
-            const Distance d = topo_.distance(cpu, h);
-            if (!found || d < best)
-                best = d;
-            found = true;
-        }
-    }
+    e.forEachHolder([&](CpuId h) {
+        if (h == cpu)
+            return;
+        const Distance d = topo_.distance(cpu, h);
+        if (!found || d < best)
+            best = d;
+        found = true;
+    });
     if (found) {
         switch (best) {
           case Distance::SameChip: return DataSource::L3;
@@ -191,14 +189,14 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive,
     if (lineOffset(line) != 0)
         ztx_panic("fetch of non-line-aligned address");
 
-    const DirectoryEntry e = dir_.lookup(line);
-    const bool holds_it =
-        e.owner == cpu ||
-        (cpu < maxDirectoryCpus && e.sharers[cpu]);
-    if (holds_it && (!exclusive || e.owner == cpu)) {
+    // L1/L2 hit: decided from the directory words, no snapshot.
+    if (dir_.holds(cpu, line) &&
+        (!exclusive || dir_.ownerOf(line) == cpu)) {
         ++hot_[cpu].fetchTotal;
         return localHit(cpu, line);
     }
+
+    const DirectoryEntry e = dir_.lookup(line);
 
     bool shard_local = false;
     if (local_only) {
@@ -220,7 +218,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive,
     AccessResult res;
     res.shardLocal = shard_local;
     res.source = shard_local ? shardLocalSource(cpu, line)
-                             : findSource(cpu, line);
+                             : findSource(cpu, line, e);
 
     Cycles xi_cost = 0;
     if (e.owner != invalidCpu && e.owner != cpu) {
@@ -495,7 +493,7 @@ Hierarchy::handleL2Evict(CpuId cpu, Addr victim)
 void
 Hierarchy::handleL3Evict(unsigned chip, Addr victim)
 {
-    stats_.counter("l3.evict").inc();
+    l3EvictStat_.inc();
     if (l3MaskTracked_)
         dir_.clearL3Resident(victim, chip);
     const unsigned first = chip * topo_.coresPerChip();
@@ -509,7 +507,7 @@ Hierarchy::handleL3Evict(unsigned chip, Addr victim)
 void
 Hierarchy::handleL4Evict(unsigned mcm, Addr victim)
 {
-    stats_.counter("l4.evict").inc();
+    l4EvictStat_.inc();
     const unsigned first_chip = mcm * topo_.chipsPerMcm();
     for (unsigned i = 0; i < topo_.chipsPerMcm(); ++i) {
         const unsigned chip = first_chip + i;
@@ -691,12 +689,10 @@ Hierarchy::poisonLine(Addr line, bool memory_side)
     stats_.counter("poison.injected").inc();
     // Best-effort flag mirror on the L1s of current holders, so
     // XiContext and introspection see the poison without a map walk.
-    const DirectoryEntry e = dir_.lookup(line);
-    for (unsigned h = 0; h < topo_.numCpus(); ++h)
-        if ((e.owner == CpuId(h) ||
-             (h < maxDirectoryCpus && e.sharers[h])) &&
-            l1_[h].contains(line))
+    dir_.lookup(line).forEachHolder([&](CpuId h) {
+        if (l1_[h].contains(line))
             l1_[h].setFlags(line, line_flag::poison);
+    });
 }
 
 bool

@@ -358,7 +358,9 @@ class Hierarchy
     void foldHotCounters() const;
 
     AccessResult localHit(CpuId cpu, Addr line);
-    DataSource findSource(CpuId cpu, Addr line) const;
+    /** Supplier of @p line for @p cpu; @p e is its directory entry. */
+    DataSource findSource(CpuId cpu, Addr line,
+                          const DirectoryEntry &e) const;
     void propagatePoisonOnFill(CpuId cpu, Addr line,
                                const DirectoryEntry &pre,
                                DataSource source);
@@ -424,6 +426,10 @@ class Hierarchy
     std::vector<HotCounters> hot_;
     mutable HotCounters hotFolded_{};
     mutable StatGroup stats_;
+    /** @name Shared-cache eviction counters (serial paths only) @{ */
+    CounterHandle l3EvictStat_{stats_, "l3.evict"};
+    CounterHandle l4EvictStat_{stats_, "l4.evict"};
+    /** @} */
 };
 
 } // namespace ztx::mem

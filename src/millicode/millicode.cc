@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <string>
 
 #include "common/log.hh"
 #include "common/trace.hh"
@@ -43,10 +42,9 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
     if (ctx.code == 0)
         ctx.code = std::uint64_t(ctx.reason);
 
-    cpu.stats_.counter("tx.aborts").inc();
+    cpu.events_.txAborts.inc();
     ++cpu.abortsTotal_;
-    cpu.stats_.counter(std::string("tx.abort.") +
-                       tx::abortReasonName(ctx.reason)).inc();
+    cpu.events_.txAbortByReason[tx::abortReasonIndex(ctx.reason)].inc();
     ztx_trace(trace::Category::Millicode, "cpu", cpu.id_, " abort ",
               tx::abortReasonName(ctx.reason), " code=", ctx.code,
               " ia=0x", std::hex, cpu.psw_.ia);
@@ -133,9 +131,7 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
                     cfg.constrainedDelayBase, shift);
                 if (window != 0) {
                     cost += cpu.rng_.nextBounded(window) + 1;
-                    cpu.stats_
-                        .counter("millicode.constrained_delays")
-                        .inc();
+                    cpu.events_.millicodeConstrainedDelays.inc();
                 }
             }
             if (count >= cfg.constrainedSpeculationThreshold &&
@@ -145,8 +141,7 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
                 // accesses to data that the transaction is not
                 // actually using" (paper §III.E).
                 cpu.speculationReduced_ = true;
-                cpu.stats_.counter("millicode.speculation_reduced")
-                    .inc();
+                cpu.events_.millicodeSpeculationReduced.inc();
             }
             if (count >= cfg.constrainedSoloThreshold &&
                 !cpu.soloHeld_) {
@@ -154,7 +149,7 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
                 // conflicting work until this transaction retires.
                 cpu.env_.requestSolo(cpu.id_);
                 cpu.soloHeld_ = true;
-                cpu.stats_.counter("millicode.solo_requests").inc();
+                cpu.events_.millicodeSoloRequests.inc();
             }
         }
     }
@@ -170,7 +165,7 @@ MillicodeEngine::ppaDelay(core::Cpu &cpu, std::uint64_t abort_count)
         abort_count, cfg.ppaMaxShift));
     const Cycles window =
         boundedShiftWindow(cfg.ppaBaseDelay, shift);
-    cpu.stats_.counter("millicode.ppa").inc();
+    cpu.events_.millicodePpa.inc();
     if (window == 0)
         return 0; // assist configured away (ppaBaseDelay == 0)
     return cpu.rng_.nextBounded(window) + cfg.ppaBaseDelay;
@@ -184,7 +179,7 @@ MillicodeEngine::constrainedSuccess(core::Cpu &cpu)
     if (cpu.soloHeld_) {
         cpu.env_.releaseSolo(cpu.id_);
         cpu.soloHeld_ = false;
-        cpu.stats_.counter("millicode.solo_releases").inc();
+        cpu.events_.millicodeSoloReleases.inc();
     }
 }
 

@@ -16,6 +16,33 @@
 
 namespace ztx::sim {
 
+namespace {
+
+using HeapEntry = std::pair<Cycles, CpuId>;
+
+/**
+ * Give the top entry of the min-heap @p heap the key @p t and
+ * restore heap order with one sift-down from the root.
+ */
+void
+rekeyTop(std::vector<HeapEntry> &heap, Cycles t)
+{
+    const HeapEntry moving{t, heap.front().second};
+    const std::size_t n = heap.size();
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+        if (c + 1 < n && heap[c + 1] < heap[c])
+            ++c;
+        if (!(heap[c] < moving))
+            break;
+        heap[i] = heap[c];
+        i = c;
+    }
+    heap[i] = moving;
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &config)
     : cfg_(config),
       hierarchy_(config.topology, config.latency, config.geometry),
@@ -169,13 +196,15 @@ Machine::runLegacy(Cycles max_cycles)
     const Cycles end_cycle =
         bounded ? start + max_cycles : ~Cycles(0);
 
-    using HeapEntry = std::pair<Cycles, CpuId>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        heap;
+    // One entry per live CPU in a min-heap on (readyAt, id). A step
+    // re-keys the top in place with one sift-down; the order is
+    // total, so the step sequence does not depend on heap layout.
+    std::vector<HeapEntry> heap;
+    heap.reserve(numCpus());
     for (unsigned i = 0; i < numCpus(); ++i)
         if (!cpus_[i]->halted())
-            heap.push({readyAt_[i], i});
+            heap.push_back({readyAt_[i], i});
+    std::make_heap(heap.begin(), heap.end(), std::greater<>());
 
     // (Re-)arm the forward-progress watchdog for this run call.
     if (cfg_.watchdogCycles != 0) {
@@ -184,10 +213,13 @@ Machine::runLegacy(Cycles max_cycles)
     }
 
     while (!heap.empty()) {
-        const auto [t, id] = heap.top();
-        heap.pop();
-        if (t != readyAt_[id] || cpus_[id]->halted())
-            continue; // stale entry
+        const auto [t, id] = heap.front();
+        if (cpus_[id]->halted()) {
+            // A CPU that halted leaves the heap here.
+            std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+            heap.pop_back();
+            continue;
+        }
 
         // Solo mode: park everyone but the solo CPU. A halted
         // holder releases automatically (safety).
@@ -199,14 +231,13 @@ Machine::runLegacy(Cycles max_cycles)
                 // when the holder releases.
                 readyAt_[id] = std::max(readyAt_[soloCpu_], t) + 1 +
                                (id & 7);
-                heap.push({readyAt_[id], id});
+                rekeyTop(heap, readyAt_[id]);
                 continue;
             }
         }
 
         now_ = std::max(now_, t);
         if (now_ >= end_cycle) {
-            heap.push({readyAt_[id], id});
             now_ = end_cycle;
             break;
         }
@@ -232,7 +263,7 @@ Machine::runLegacy(Cycles max_cycles)
         // dispatch credit bounds how many occur per cycle.
         readyAt_[id] = now_ + cost;
         if (!cpus_[id]->halted())
-            heap.push({readyAt_[id], id});
+            rekeyTop(heap, readyAt_[id]);
 
         if (cfg_.watchdogCycles != 0) {
             // O(1) per step: commits/region-closes/halts bump

@@ -24,7 +24,6 @@
 #include <deque>
 #include <memory>
 #include <ostream>
-#include <queue>
 #include <vector>
 
 #include "common/json.hh"

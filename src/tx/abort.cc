@@ -1,5 +1,7 @@
 #include "abort.hh"
 
+#include "common/log.hh"
+
 namespace ztx::tx {
 
 const char *
@@ -30,6 +32,15 @@ abortReasonName(AbortReason reason)
       case AbortReason::TAbortBase: return "tabort";
     }
     return "?";
+}
+
+std::size_t
+abortReasonIndex(AbortReason reason)
+{
+    for (std::size_t i = 0; i < allAbortReasons.size(); ++i)
+        if (allAbortReasons[i] == reason)
+            return i;
+    ztx_panic("unknown abort reason ", unsigned(reason));
 }
 
 const char *

@@ -12,6 +12,8 @@
 #ifndef ZTX_TX_ABORT_HH
 #define ZTX_TX_ABORT_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -77,6 +79,32 @@ abortCc(AbortReason reason, std::uint64_t abort_code)
 
 /** Human-readable reason name. */
 const char *abortReasonName(AbortReason reason);
+
+/** Every AbortReason, in declaration order: the dense index space. */
+inline constexpr std::array<AbortReason, 19> allAbortReasons = {
+    AbortReason::None,
+    AbortReason::ExternalInterrupt,
+    AbortReason::ProgramInterrupt,
+    AbortReason::MachineCheck,
+    AbortReason::IoInterrupt,
+    AbortReason::FetchOverflow,
+    AbortReason::StoreOverflow,
+    AbortReason::FetchConflict,
+    AbortReason::StoreConflict,
+    AbortReason::RestrictedInstruction,
+    AbortReason::FilteredProgramInterrupt,
+    AbortReason::NestingDepthExceeded,
+    AbortReason::CacheFetchRelated,
+    AbortReason::CacheStoreRelated,
+    AbortReason::CacheOther,
+    AbortReason::DataPoisoned,
+    AbortReason::DiagnosticAbort,
+    AbortReason::Miscellaneous,
+    AbortReason::TAbortBase,
+};
+
+/** Position of @p reason in allAbortReasons (per-reason tables). */
+std::size_t abortReasonIndex(AbortReason reason);
 
 /** Program-interruption codes the simulator models. */
 enum class InterruptCode : std::uint8_t

@@ -18,6 +18,7 @@
 #define ZTX_TX_CONSTRAINTS_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -40,6 +41,9 @@ enum class ConstraintViolationKind : std::uint8_t
     RestrictedOperation,
     DataFootprint,
 };
+
+/** Number of ConstraintViolationKind values (dense from 0). */
+inline constexpr std::size_t numConstraintViolationKinds = 5;
 
 /** Human-readable violation name. */
 const char *constraintViolationName(ConstraintViolationKind kind);

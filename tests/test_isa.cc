@@ -121,6 +121,66 @@ TEST(Assembler, FetchByAddress)
     EXPECT_EQ(p.entry(), 0x2000u);
 }
 
+/** A mixed-length program (2/4/6-byte slots) at @p base. */
+Program
+mixedProgram(Addr base)
+{
+    Assembler as(base);
+    as.label("top");
+    as.lr(1, 2);    // 2 bytes
+    as.lhi(3, 7);   // 4 bytes
+    as.lg(4, 5, 8); // 6 bytes
+    as.lr(6, 7);
+    as.lg(4, 5, 16);
+    as.j("top");
+    as.halt();
+    return as.finish();
+}
+
+TEST(Program, DenseFetchMatchesSlots)
+{
+    // The default base, the litmus base and a small one.
+    for (const Addr base : {Addr(0x10'0000), Addr(0x50'0000),
+                            Addr(0x2000)}) {
+        const Program p = mixedProgram(base);
+        const auto &slots = p.slots();
+        const Addr end = slots.back().addr + slots.back().length;
+        // Every address from before the entry to past the end:
+        // slot addresses return their own slot, everything else
+        // (mid-instruction, odd, outside) returns nullptr.
+        std::size_t next = 0;
+        for (Addr a = base - 16; a < end + 16; ++a) {
+            if (next < slots.size() && a == slots[next].addr) {
+                EXPECT_EQ(p.fetch(a), &slots[next]) << std::hex << a;
+                ++next;
+            } else {
+                EXPECT_EQ(p.fetch(a), nullptr) << std::hex << a;
+            }
+        }
+        EXPECT_EQ(next, slots.size());
+        EXPECT_EQ(p.fetch(0), nullptr);
+        EXPECT_EQ(p.fetch(~Addr(0)), nullptr);
+        EXPECT_EQ(p.fetch(~Addr(0) - 1), nullptr);
+
+        // A copy answers from its own slots.
+        const Program copy = p;
+        EXPECT_EQ(copy.fetch(slots[2].addr), &copy.slots()[2]);
+    }
+
+    // Empty programs, default-constructed or assembled, hold nothing.
+    const Program none;
+    const Program finished = Assembler(0x50'0000).finish();
+    for (const Addr a : {Addr(0), Addr(2), Addr(0x10'0000),
+                         Addr(0x50'0000), Addr(0x50'0002)}) {
+        EXPECT_EQ(none.fetch(a), nullptr);
+        EXPECT_EQ(finished.fetch(a), nullptr);
+    }
+
+    // The slot table is halfword-indexed: an odd base is refused.
+    EXPECT_EXIT(Assembler(0x10'0001), ::testing::ExitedWithCode(1),
+                "odd");
+}
+
 TEST(Assembler, ForwardAndBackwardLabels)
 {
     Assembler as;

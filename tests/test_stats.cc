@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "common/json.hh"
 #include "common/stats.hh"
+#include "sim/machine.hh"
+#include "workload/update_bench.hh"
 
 namespace {
 
@@ -216,6 +221,141 @@ TEST(Json, ScalarsRoundTrip)
     EXPECT_TRUE(parsed->find("n")->isNull());
     EXPECT_EQ(parsed->find("arr")->size(), 2u);
     EXPECT_EQ(parsed->find("arr")->at(1).str(), "two");
+}
+
+TEST(StatGroup, CounterHandleBindsOnFirstInc)
+{
+    StatGroup g("g");
+    ztx::CounterHandle h(g, "events");
+    EXPECT_TRUE(g.counters().empty()); // unfired: no key
+    h.inc();
+    h.inc(4);
+    EXPECT_EQ(g.counters().at("events").value(), 5u);
+    // A counter registered through the group first is the same one.
+    g.counter("other").inc(2);
+    ztx::CounterHandle other(g, "other");
+    other.inc();
+    EXPECT_EQ(g.counters().at("other").value(), 3u);
+    g.resetAll();
+    h.inc();
+    EXPECT_EQ(g.counters().at("events").value(), 1u);
+}
+
+/** Counter keys of every instantiated CPU of @p m, in CPU order. */
+std::vector<std::set<std::string>>
+cpuCounterKeys(const ztx::sim::Machine &m)
+{
+    std::vector<std::set<std::string>> keys;
+    for (unsigned i = 0; i < m.numCpus(); ++i) {
+        keys.emplace_back();
+        for (const auto &[name, unused] : m.cpu(i).stats().counters())
+            keys.back().insert(name);
+    }
+    return keys;
+}
+
+/** A finished run: the machine and the program it ran. */
+struct UpdateRun
+{
+    std::unique_ptr<ztx::isa::Program> program;
+    std::unique_ptr<ztx::sim::Machine> machine;
+};
+
+/**
+ * Run the update benchmark's program on @p cpus CPUs of an 8-CPU
+ * machine (legacy scheduler).
+ */
+UpdateRun
+runUpdate(ztx::workload::SyncMethod method, unsigned cpus,
+          unsigned pool, unsigned vars, unsigned iterations,
+          bool contended)
+{
+    using namespace ztx;
+    workload::UpdateBenchConfig cfg;
+    cfg.cpus = cpus;
+    cfg.poolSize = pool;
+    cfg.varsPerOp = vars;
+    cfg.method = method;
+    cfg.iterations = iterations;
+    sim::MachineConfig mc;
+    mc.topology = mem::Topology(2, 2, 2);
+    mc.activeCpus = cpus;
+    mc.seed = 1;
+    if (contended) {
+        // Hang avoidance and timer ticks add conflict and
+        // interrupt aborts to the stiff-armed conflicts.
+        mc.tm.xiRejectAbortThreshold = 2;
+        mc.externalInterruptPeriod = 3000;
+    }
+    UpdateRun run{std::make_unique<isa::Program>(
+                      workload::buildUpdateProgram(cfg)),
+                  std::make_unique<sim::Machine>(mc)};
+    run.machine->setProgramAll(run.program.get());
+    run.machine->run();
+    EXPECT_TRUE(run.machine->allHalted());
+    return run;
+}
+
+TEST(StatGroup, BoundHandlesKeepKeySet)
+{
+    using ztx::workload::SyncMethod;
+    using Keys = std::set<std::string>;
+
+    // Coarse lock on 3 of 8 CPUs: the 5 inactive CPUs have no stats
+    // group at all, and the active ones no tx.* or millicode.* keys.
+    {
+        const UpdateRun run =
+            runUpdate(SyncMethod::CoarseLock, 3, 16, 1, 40, false);
+        EXPECT_EQ(run.machine->statsJson().find("cpus")->size(), 3u);
+        for (const Keys &keys : cpuCounterKeys(*run.machine))
+            EXPECT_EQ(keys, (Keys{"instructions", "xi.received"}));
+    }
+
+    // TBEGIN on 8 CPUs: the tx.abort.<reason> keys are exactly the
+    // reasons that fired (CPU 2 never took a TABORT).
+    {
+        const UpdateRun run =
+            runUpdate(SyncMethod::TBegin, 8, 16, 4, 60, true);
+        const Keys common = {
+            "external_interrupts",        "fetch.rejected",
+            "instructions",               "millicode.ppa",
+            "tx.abort.external-interrupt", "tx.abort.fetch-conflict",
+            "tx.abort.store-conflict",    "tx.aborts",
+            "tx.begins",                  "tx.commits",
+            "xi.received",                "xi.rejects_sent"};
+        const auto keys = cpuCounterKeys(*run.machine);
+        for (unsigned i = 0; i < keys.size(); ++i) {
+            Keys want = common;
+            if (i != 2)
+                want.insert("tx.abort.tabort");
+            EXPECT_EQ(keys[i], want) << "cpu " << i;
+        }
+    }
+
+    // TBEGINC escalates through the millicode ladder.
+    {
+        const UpdateRun run =
+            runUpdate(SyncMethod::TBeginc, 8, 16, 4, 60, true);
+        const Keys want = {"external_interrupts",
+                           "fetch.rejected",
+                           "instructions",
+                           "millicode.constrained_delays",
+                           "millicode.solo_releases",
+                           "millicode.solo_requests",
+                           "millicode.speculation_reduced",
+                           "tx.abort.external-interrupt",
+                           "tx.abort.fetch-conflict",
+                           "tx.abort.store-conflict",
+                           "tx.aborts",
+                           "tx.begins",
+                           "tx.begins_constrained",
+                           "tx.commits",
+                           "tx.commits_constrained",
+                           "xi.received",
+                           "xi.rejects_sent"};
+        for (const Keys &keys : cpuCounterKeys(*run.machine))
+            EXPECT_EQ(keys, want);
+    }
 }
 
 TEST(Json, ParseRejectsMalformed)
