@@ -204,12 +204,20 @@ GatheringStoreCache::allocate(mem::MainMemory &memory)
 }
 
 void
-GatheringStoreCache::writeBack(Entry &entry,
-                               mem::MainMemory &memory) const
+GatheringStoreCache::writeBack(const Entry &entry,
+                               mem::MainMemory &memory)
 {
-    for (std::uint64_t b = 0; b < storeCacheBlockBytes; ++b)
-        if (entry.valid[b])
-            memory.writeByte(entry.block + b, entry.data[b]);
+    // One block write per run of consecutive valid bytes. A block
+    // lies within one line, so each run is one line lookup, and a
+    // line is still created only when a valid byte lands in it.
+    constexpr std::size_t end = storeCacheBlockBytes;
+    const std::bitset<end> holes = ~entry.valid;
+    for (std::size_t b = entry.valid._Find_first(); b < end;) {
+        const std::size_t run_end = holes._Find_next(b);
+        memory.writeBlock(entry.block + b, entry.data.data() + b,
+                          run_end - b);
+        b = run_end < end ? entry.valid._Find_next(run_end) : end;
+    }
 }
 
 void

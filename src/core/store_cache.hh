@@ -171,7 +171,7 @@ class GatheringStoreCache
 
     Entry *findOpen(Addr block, bool transactional);
     Entry *allocate(mem::MainMemory &memory);
-    void writeBack(Entry &entry, mem::MainMemory &memory) const;
+    static void writeBack(const Entry &entry, mem::MainMemory &memory);
     void storeBlockPiece(Entry &entry, Addr addr,
                          const std::uint8_t *bytes, unsigned len,
                          bool ntstg);

@@ -56,46 +56,23 @@ CacheArray::flagsOf(Addr line) const
     return i != npos ? flags_[i] : 0;
 }
 
-void
+std::uint8_t
 CacheArray::setFlags(Addr line, std::uint8_t bits)
 {
     const std::size_t i = findIdx(line);
     if (i == npos)
         ztx_panic("setFlags on absent line in ", name_);
-    if (flags_[i] == 0 && bits != 0)
-        ++flagged_;
-    flags_[i] |= bits;
+    const std::uint8_t old = flags_[i];
+    flags_[i] = std::uint8_t(old | bits);
+    return old;
 }
 
 void
 CacheArray::clearFlags(Addr line, std::uint8_t bits)
 {
     const std::size_t i = findIdx(line);
-    if (i == npos)
-        return;
-    const std::uint8_t old = flags_[i];
-    flags_[i] = std::uint8_t(old & ~bits);
-    if (old != 0 && flags_[i] == 0)
-        --flagged_;
-}
-
-void
-CacheArray::clearFlagsAll(std::uint8_t bits)
-{
-    if (flagged_ == 0)
-        return;
-    for (std::uint64_t set = 0; set < rows_; ++set) {
-        std::uint32_t ways = validMask_[set];
-        while (ways != 0) {
-            const unsigned w = ctz32(ways);
-            ways &= ways - 1;
-            const std::size_t i = std::size_t(set) * assoc_ + w;
-            const std::uint8_t old = flags_[i];
-            flags_[i] = std::uint8_t(old & ~bits);
-            if (old != 0 && flags_[i] == 0)
-                --flagged_;
-        }
-    }
+    if (i != npos)
+        flags_[i] = std::uint8_t(flags_[i] & ~bits);
 }
 
 bool
@@ -171,15 +148,11 @@ CacheArray::insertAt(const Probe &p, Addr line, std::uint8_t flags)
         victim.valid = true;
         victim.line = tags_[i];
         victim.flags = flags_[i];
-        if (flags_[i] != 0)
-            --flagged_;
     }
     tags_[i] = line;
     flags_[i] = flags;
     lastUse_[i] = ++useTick_;
     validMask_[set] |= bit;
-    if (flags != 0)
-        ++flagged_;
     return victim;
 }
 
@@ -210,8 +183,6 @@ CacheArray::invalidate(Addr line)
     const std::size_t i = findIdx(line);
     if (i == npos)
         return false;
-    if (flags_[i] != 0)
-        --flagged_;
     flags_[i] = 0;
     validMask_[i / assoc_] &=
         ~(std::uint32_t(1) << unsigned(i % assoc_));
@@ -230,7 +201,6 @@ CacheArray::validCount() const
 std::string
 CacheArray::indexCheck() const
 {
-    std::size_t flagged = 0;
     for (std::uint64_t set = 0; set < rows_; ++set) {
         const std::uint32_t all =
             assoc_ == 32 ? ~std::uint32_t(0)
@@ -244,8 +214,6 @@ CacheArray::indexCheck() const
             const std::size_t i = std::size_t(set) * assoc_ + w;
             if (row(tags_[i]) != set)
                 return name_ + ": valid tag maps to another set";
-            if (flags_[i] != 0)
-                ++flagged;
             // Tags must be unique within the set.
             std::uint32_t rest = ways;
             while (rest != 0) {
@@ -257,8 +225,6 @@ CacheArray::indexCheck() const
             }
         }
     }
-    if (flagged != flagged_)
-        return name_ + ": flagged-entry count mismatch";
     return "";
 }
 

@@ -99,18 +99,14 @@ class CacheArray
     /** Flags of @p line; 0 if absent. */
     std::uint8_t flagsOf(Addr line) const;
 
-    /** OR @p bits into the flags of @p line; line must be present. */
-    void setFlags(Addr line, std::uint8_t bits);
+    /**
+     * OR @p bits into the flags of @p line; line must be present.
+     * @return The line's flags before the update.
+     */
+    std::uint8_t setFlags(Addr line, std::uint8_t bits);
 
     /** Clear @p bits from the flags of @p line if present. */
     void clearFlags(Addr line, std::uint8_t bits);
-
-    /**
-     * Clear @p bits from every valid entry's flags. Short-circuits
-     * when no valid entry carries any flag bits (flaggedCount()),
-     * so the per-TBEGIN tx-mark wipe is O(1) outside transactions.
-     */
-    void clearFlagsAll(std::uint8_t bits);
 
     /** @name Fused probes (hot path) @{ */
     /**
@@ -194,9 +190,6 @@ class CacheArray
     /** Count of valid entries (for tests/stats). */
     std::size_t validCount() const;
 
-    /** Valid entries currently carrying any flag bits. */
-    std::size_t flaggedCount() const { return flagged_; }
-
     /** Invoke @p fn(const Entry &) for every valid entry. */
     template <typename Fn>
     void
@@ -223,9 +216,9 @@ class CacheArray
 
     /**
      * Verify the per-set metadata (valid masks, tag-to-set mapping,
-     * tag uniqueness within a set, flagged-entry count) against a
-     * ground-truth walk. @return Empty string when consistent, else
-     * a description of the first violation (chaos-oracle hook).
+     * tag uniqueness within a set) against a ground-truth walk.
+     * @return Empty string when consistent, else a description of
+     *         the first violation (chaos-oracle hook).
      */
     std::string indexCheck() const;
 
@@ -249,9 +242,6 @@ class CacheArray
     /** Bit w set = way w of the set is valid (assoc <= 32). */
     std::vector<std::uint32_t> validMask_;
     /** @} */
-
-    /** Valid entries with flags != 0 (clearFlagsAll short-circuit). */
-    std::size_t flagged_ = 0;
 
     std::uint64_t useTick_ = 0;
 };

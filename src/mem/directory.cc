@@ -11,6 +11,20 @@ namespace {
 
 constexpr auto relaxed = std::memory_order_relaxed;
 
+/** The bits of sharer word @p w that fall inside @p range. */
+std::uint64_t
+rangeBits(unsigned w, CpuRange range)
+{
+    const CpuId base = CpuId(w) * 64;
+    if (range.hi <= base || range.lo >= base + 64)
+        return 0;
+    const unsigned lo = range.lo > base ? range.lo - base : 0;
+    const unsigned hi = range.hi < base + 64 ? range.hi - base : 64;
+    const std::uint64_t below_hi =
+        hi == 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << hi) - 1;
+    return below_hi & (~std::uint64_t(0) << lo);
+}
+
 } // namespace
 
 void
@@ -206,27 +220,32 @@ CoherenceDirectory::remove(Addr line, CpuId cpu)
     // structure under concurrent shard reads.
 }
 
-std::vector<CpuId>
-CoherenceDirectory::sharersExcept(Addr line, CpuId except) const
+HolderScope
+CoherenceDirectory::holderScope(Addr line, CpuId requester,
+                                CpuRange chip, CpuRange mcm) const
 {
-    std::vector<CpuId> out;
+    HolderScope s;
     const std::size_t i = findIndex(line);
     if (i == npos)
-        return out;
-    const CpuId owner = owner_[i].load(relaxed);
+        return s;
+    s.owner = owner_[i].load(relaxed);
+    if (s.owner != invalidCpu && s.owner != requester) {
+        s.other = true;
+        s.inChip = chip.contains(s.owner);
+        s.inMcm = mcm.contains(s.owner);
+    }
     for (unsigned w = 0; w < sharerWords_; ++w) {
         std::uint64_t word =
             sharers_[i * sharerWords_ + w].load(relaxed);
-        while (word) {
-            const unsigned bit =
-                unsigned(std::countr_zero(word));
-            const CpuId cpu = CpuId(w * 64 + bit);
-            if (cpu != except && cpu != owner)
-                out.push_back(cpu);
-            word &= word - 1;
-        }
+        if (w == requester / 64)
+            word &= ~(std::uint64_t(1) << (requester % 64));
+        if (word == 0)
+            continue;
+        s.other = true;
+        s.inChip = s.inChip || (word & rangeBits(w, chip)) != 0;
+        s.inMcm = s.inMcm || (word & rangeBits(w, mcm)) != 0;
     }
-    return out;
+    return s;
 }
 
 std::size_t

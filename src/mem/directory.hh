@@ -40,13 +40,16 @@
 #ifndef ZTX_MEM_DIRECTORY_HH
 #define ZTX_MEM_DIRECTORY_HH
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <bitset>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/types.hh"
+#include "mem/topology.hh"
 
 namespace ztx::mem {
 
@@ -93,6 +96,25 @@ struct DirectoryEntry
     }
 };
 
+/**
+ * Holders of one line as seen by one requester (holderScope()). The
+ * requester itself never counts as a holder here.
+ */
+struct HolderScope
+{
+    /** Exclusive owner (the requester included), or invalidCpu. */
+    CpuId owner = invalidCpu;
+
+    /** Some CPU other than the requester holds the line. */
+    bool other = false;
+
+    /** One such holder lies in the requester's chip range. */
+    bool inChip = false;
+
+    /** One such holder lies in the requester's MCM range. */
+    bool inMcm = false;
+};
+
 /** Map from line address to global coherence state. */
 class CoherenceDirectory
 {
@@ -135,8 +157,44 @@ class CoherenceDirectory
     /** Remove @p cpu from the holders of @p line (any state). */
     void remove(Addr line, CpuId cpu);
 
-    /** Sharers of @p line other than @p except. */
-    std::vector<CpuId> sharersExcept(Addr line, CpuId except) const;
+    /**
+     * Where the holders of @p line lie relative to @p requester, in
+     * one probe: the sharer words are masked with the CPU ranges
+     * @p chip and @p mcm (the topology numbers CPUs contiguously,
+     * so a chip and an MCM are each one range), and the owner is
+     * tested by value.
+     */
+    HolderScope holderScope(Addr line, CpuId requester, CpuRange chip,
+                            CpuRange mcm) const;
+
+    /**
+     * Invoke @p fn(CpuId) for every sharer of @p line other than
+     * @p except and the owner, in ascending CPU id. The sharer words
+     * are copied first, so @p fn may change the line's state.
+     */
+    template <typename Fn>
+    void
+    forEachSharerExcept(Addr line, CpuId except, Fn &&fn) const
+    {
+        const std::size_t i = findIndex(line);
+        if (i == npos)
+            return;
+        const CpuId owner =
+            owner_[i].load(std::memory_order_relaxed);
+        std::array<std::uint64_t, maxDirectoryCpus / 64> words{};
+        for (unsigned w = 0; w < sharerWords_; ++w)
+            words[w] = sharers_[i * sharerWords_ + w].load(
+                std::memory_order_relaxed);
+        for (unsigned w = 0; w < sharerWords_; ++w) {
+            for (std::uint64_t word = words[w]; word;
+                 word &= word - 1) {
+                const CpuId cpu =
+                    CpuId(w * 64 + unsigned(std::countr_zero(word)));
+                if (cpu != except && cpu != owner)
+                    fn(cpu);
+            }
+        }
+    }
 
     /** Number of lines some CPU currently holds (non-idle entries). */
     std::size_t trackedLines() const;

@@ -43,6 +43,7 @@ Hierarchy::Hierarchy(const Topology &topo, const LatencyModel &lat,
         lruExt_.emplace_back(geo_.l1.rows(), false);
     }
     lruExtTracked_.resize(n);
+    txLines_.resize(n);
     hot_.resize(n);
     l3MaskTracked_ = topo_.numChips() <= maxDirectoryChips;
     for (unsigned c = 0; c < topo_.numChips(); ++c)
@@ -93,7 +94,7 @@ Hierarchy::localHit(CpuId cpu, Addr line)
 
 DataSource
 Hierarchy::findSource(CpuId cpu, Addr line,
-                      const DirectoryEntry &e) const
+                      const HolderScope &holders) const
 {
     if (l1_[cpu].contains(line))
         return DataSource::L1;
@@ -101,23 +102,12 @@ Hierarchy::findSource(CpuId cpu, Addr line,
         return DataSource::L2;
 
     // Nearest other holder supplies the line (cache intervention).
-    Distance best = Distance::CrossMcm;
-    bool found = false;
-    e.forEachHolder([&](CpuId h) {
-        if (h == cpu)
-            return;
-        const Distance d = topo_.distance(cpu, h);
-        if (!found || d < best)
-            best = d;
-        found = true;
-    });
-    if (found) {
-        switch (best) {
-          case Distance::SameChip: return DataSource::L3;
-          case Distance::SameMcm: return DataSource::L4;
-          default: return DataSource::RemoteMcm;
-        }
-    }
+    if (holders.inChip)
+        return DataSource::L3;
+    if (holders.inMcm)
+        return DataSource::L4;
+    if (holders.other)
+        return DataSource::RemoteMcm;
 
     if (l3_[topo_.chipOf(cpu)].contains(line))
         return DataSource::L3;
@@ -196,11 +186,9 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive,
         return localHit(cpu, line);
     }
 
-    const DirectoryEntry e = dir_.lookup(line);
-
     bool shard_local = false;
     if (local_only) {
-        if (!shardLocalEligible(cpu, e)) {
+        if (!shardLocalEligible(cpu, dir_.lookup(line))) {
             // Parallel phase: this access needs the fabric or a CPU
             // outside the shard. Defer without charging anything —
             // the step will be re-run serially at the barrier.
@@ -215,15 +203,17 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive,
     }
     ++hot_[cpu].fetchTotal;
 
+    const HolderScope holders = dir_.holderScope(
+        line, cpu, topo_.chipRange(cpu), topo_.mcmRange(cpu));
     AccessResult res;
     res.shardLocal = shard_local;
     res.source = shard_local ? shardLocalSource(cpu, line)
-                             : findSource(cpu, line, e);
+                             : findSource(cpu, line, holders);
 
     Cycles xi_cost = 0;
-    if (e.owner != invalidCpu && e.owner != cpu) {
+    const CpuId owner = holders.owner;
+    if (owner != invalidCpu && owner != cpu) {
         // Another CPU owns the line exclusively.
-        const CpuId owner = e.owner;
         const XiKind kind =
             exclusive ? XiKind::Exclusive : XiKind::Demote;
         const Distance d = topo_.distance(cpu, owner);
@@ -241,7 +231,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive,
             dir_.demoteOwner(line); // owner keeps a read-only copy
     } else if (exclusive) {
         // Invalidate all other read-only copies.
-        for (const CpuId s : dir_.sharersExcept(line, cpu)) {
+        dir_.forEachSharerExcept(line, cpu, [&](CpuId s) {
             const Cycles delay =
                 probeDelay(XiKind::ReadOnly, s, cpu);
             sendXi(XiKind::ReadOnly, line, s, cpu);
@@ -249,7 +239,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive,
             xi_cost = std::max(
                 xi_cost,
                 lat_.intervention(topo_.distance(cpu, s)) + delay);
-        }
+        });
     }
 
     if (exclusive)
@@ -262,7 +252,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive,
     else
         installLocal(cpu, line);
     if (poisonActive_)
-        propagatePoisonOnFill(cpu, line, e, res.source);
+        propagatePoisonOnFill(cpu, line, holders.other, res.source);
     res.latency = std::max(lat_.fetch(res.source), xi_cost);
     ++hot_[cpu].fetchMiss;
     return res;
@@ -270,8 +260,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive,
 
 void
 Hierarchy::propagatePoisonOnFill(CpuId cpu, Addr line,
-                                 const DirectoryEntry &pre,
-                                 DataSource source)
+                                 bool other_holder, DataSource source)
 {
     const auto it = poison_.find(line);
     if (it == poison_.end())
@@ -280,14 +269,6 @@ Hierarchy::propagatePoisonOnFill(CpuId cpu, Addr line,
         // A corrupt cached image supplied the fill: holder
         // intervention carries poison over the XI data transfer,
         // a shared-cache hit carries it on the fetch itself.
-        bool other_holder =
-            pre.owner != invalidCpu && pre.owner != cpu;
-        if (!other_holder) {
-            auto sharers = pre.sharers;
-            if (cpu < maxDirectoryCpus)
-                sharers.reset(cpu);
-            other_holder = sharers.any();
-        }
         if (other_holder)
             ++hot_[cpu].poisonSpreadXi;
         else
@@ -517,21 +498,36 @@ Hierarchy::handleL4Evict(unsigned mcm, Addr victim)
 }
 
 void
+Hierarchy::markTx(CpuId cpu, Addr line, std::uint8_t bit)
+{
+    line = lineAlign(line);
+    // A line enters the footprint list when it gains its first tx
+    // bit. A line evicted and refilled since is listed again, which
+    // clearTxMarks() tolerates.
+    if (!(l1_[cpu].setFlags(line, bit) & txBits))
+        txLines_[cpu].push_back(line);
+}
+
+void
 Hierarchy::markTxRead(CpuId cpu, Addr line)
 {
-    l1_[cpu].setFlags(lineAlign(line), line_flag::txRead);
+    markTx(cpu, line, line_flag::txRead);
 }
 
 void
 Hierarchy::markTxDirty(CpuId cpu, Addr line)
 {
-    l1_[cpu].setFlags(lineAlign(line), line_flag::txDirty);
+    markTx(cpu, line, line_flag::txDirty);
 }
 
 void
 Hierarchy::clearTxMarks(CpuId cpu)
 {
-    l1_[cpu].clearFlagsAll(line_flag::txRead | line_flag::txDirty);
+    // Only markTx() sets tx bits, so the footprint list names every
+    // line that can carry one; lines evicted since are skipped.
+    for (const Addr line : txLines_[cpu])
+        l1_[cpu].clearFlags(line, txBits);
+    txLines_[cpu].clear();
     std::fill(lruExt_[cpu].begin(), lruExt_[cpu].end(), false);
     lruExtTracked_[cpu].clear();
 }

@@ -164,6 +164,7 @@ class Hierarchy
     const Topology &topology() const { return topo_; }
     const LatencyModel &latencyModel() const { return lat_; }
     const HierarchyGeometry &geometry() const { return geo_; }
+    const CacheArray &l1Array(CpuId cpu) const { return l1_[cpu]; }
     // Hot-path fetch counters accumulate in per-CPU padded deltas
     // (no shared-counter contention in the parallel phase) and are
     // folded into the StatGroup whenever stats are observed.
@@ -179,7 +180,7 @@ class Hierarchy
 
     /**
      * Verify every cache array's per-set metadata (valid masks,
-     * tag-to-set mapping, flagged-entry counts) against a
+     * tag-to-set mapping, tag uniqueness) against a
      * ground-truth walk. @return Empty string when consistent, else
      * the first violation (chaos-oracle hook; soft-failing
      * counterpart of checkInvariants()).
@@ -358,11 +359,11 @@ class Hierarchy
     void foldHotCounters() const;
 
     AccessResult localHit(CpuId cpu, Addr line);
-    /** Supplier of @p line for @p cpu; @p e is its directory entry. */
+    /** Supplier of @p line for @p cpu, given where its holders lie. */
     DataSource findSource(CpuId cpu, Addr line,
-                          const DirectoryEntry &e) const;
-    void propagatePoisonOnFill(CpuId cpu, Addr line,
-                               const DirectoryEntry &pre,
+                          const HolderScope &holders) const;
+    /** @p other_holder: a CPU other than @p cpu held @p line. */
+    void propagatePoisonOnFill(CpuId cpu, Addr line, bool other_holder,
                                DataSource source);
     bool shardLocalEligible(CpuId cpu, const DirectoryEntry &e) const;
     DataSource shardLocalSource(CpuId cpu, Addr line) const;
@@ -380,7 +381,12 @@ class Hierarchy
     void handleL2Evict(CpuId cpu, Addr victim);
     void handleL3Evict(unsigned chip, Addr victim);
     void handleL4Evict(unsigned mcm, Addr victim);
+    /** Set tx bit @p bit on @p line, listing the line if it is new. */
+    void markTx(CpuId cpu, Addr line, std::uint8_t bit);
     CacheClient *client(CpuId cpu) const;
+
+    static constexpr std::uint8_t txBits =
+        line_flag::txRead | line_flag::txDirty;
 
     Topology topo_;
     LatencyModel lat_;
@@ -399,6 +405,12 @@ class Hierarchy
      * footprint stays enumerable for injection targeting.
      */
     std::vector<std::vector<Addr>> lruExtTracked_;
+    /**
+     * Per-CPU transactional footprint list: every L1 line that got
+     * a tx bit since the last clearTxMarks(), so clearing costs the
+     * footprint rather than a sweep of the L1.
+     */
+    std::vector<std::vector<Addr>> txLines_;
     bool lruExtEnabled_ = true;
     /**
      * Shard partition for the local fast path: shardBits_[chip]

@@ -22,10 +22,21 @@ enum class Distance : std::uint8_t
     CrossMcm  ///< different MCMs
 };
 
+/** Half-open range [lo, hi) of CPU ids. */
+struct CpuRange
+{
+    CpuId lo = 0;
+    CpuId hi = 0;
+
+    bool contains(CpuId cpu) const { return cpu >= lo && cpu < hi; }
+};
+
 /**
  * Machine topology. Defaults model the system evaluated in the paper:
  * 6 cores per CP chip, 4 chips per MCM node (the paper reports the
  * tested MCM node holds 24 CPUs), 5 MCMs for up to 120 usable CPUs.
+ * CPUs are numbered chip by chip and chips MCM by MCM, so each chip
+ * and each MCM is one contiguous CPU range.
  */
 class Topology
 {
@@ -64,6 +75,23 @@ class Topology
     mcmOf(CpuId cpu) const
     {
         return chipOf(cpu) / chipsPerMcm_;
+    }
+
+    /** The CPUs sharing @p cpu's L3. */
+    CpuRange
+    chipRange(CpuId cpu) const
+    {
+        const CpuId lo = chipOf(cpu) * coresPerChip_;
+        return {lo, lo + coresPerChip_};
+    }
+
+    /** The CPUs sharing @p cpu's L4. */
+    CpuRange
+    mcmRange(CpuId cpu) const
+    {
+        const unsigned n = coresPerChip_ * chipsPerMcm_;
+        const CpuId lo = cpu / n * n;
+        return {lo, lo + n};
     }
 
     /** Hierarchical distance between two CPUs. */

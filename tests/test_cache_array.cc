@@ -89,22 +89,13 @@ TEST(CacheArray, FlagSetAndClear)
 {
     auto a = tinyArray();
     a.insert(0);
-    a.setFlags(0, line_flag::txRead);
+    // setFlags reports the flags the line had before the update.
+    EXPECT_EQ(a.setFlags(0, line_flag::txRead), 0u);
     EXPECT_EQ(a.flagsOf(0), line_flag::txRead);
-    a.setFlags(0, line_flag::txDirty);
+    EXPECT_EQ(a.setFlags(0, line_flag::txDirty), line_flag::txRead);
     EXPECT_EQ(a.flagsOf(0), line_flag::txRead | line_flag::txDirty);
     a.clearFlags(0, line_flag::txRead);
     EXPECT_EQ(a.flagsOf(0), line_flag::txDirty);
-}
-
-TEST(CacheArray, ClearFlagsAll)
-{
-    auto a = tinyArray();
-    a.insert(lineInRow(0, 0), line_flag::txRead);
-    a.insert(lineInRow(2, 0), line_flag::txDirty);
-    a.clearFlagsAll(line_flag::txRead | line_flag::txDirty);
-    EXPECT_EQ(a.flagsOf(lineInRow(0, 0)), 0u);
-    EXPECT_EQ(a.flagsOf(lineInRow(2, 0)), 0u);
 }
 
 TEST(CacheArray, InvalidateRemovesAndClearsFlags)
@@ -145,51 +136,6 @@ TEST(CacheArray, RowMapping)
     EXPECT_EQ(a.row(4 * lineSizeBytes), 0u);
 }
 
-TEST(CacheArray, FlaggedCountTracksEveryTransition)
-{
-    auto a = tinyArray();
-    EXPECT_EQ(a.flaggedCount(), 0u);
-    a.insert(lineInRow(0, 0), line_flag::txRead);
-    EXPECT_EQ(a.flaggedCount(), 1u);
-    a.insert(lineInRow(1, 0));
-    EXPECT_EQ(a.flaggedCount(), 1u);
-    a.setFlags(lineInRow(1, 0), line_flag::txDirty);
-    EXPECT_EQ(a.flaggedCount(), 2u);
-    // Adding bits to an already-flagged entry is not a transition.
-    a.setFlags(lineInRow(1, 0), line_flag::txRead);
-    EXPECT_EQ(a.flaggedCount(), 2u);
-    // Clearing only one of two bits leaves the entry flagged.
-    a.clearFlags(lineInRow(1, 0), line_flag::txRead);
-    EXPECT_EQ(a.flaggedCount(), 2u);
-    a.clearFlags(lineInRow(1, 0), line_flag::txDirty);
-    EXPECT_EQ(a.flaggedCount(), 1u);
-    a.invalidate(lineInRow(0, 0));
-    EXPECT_EQ(a.flaggedCount(), 0u);
-    EXPECT_EQ(a.indexCheck(), "");
-}
-
-TEST(CacheArray, ClearFlagsAllShortCircuitStaysCorrect)
-{
-    auto a = tinyArray();
-    a.insert(lineInRow(0, 0));
-    a.insert(lineInRow(2, 0));
-    // Nothing flagged: the short-circuit path must be a no-op.
-    a.clearFlagsAll(line_flag::txRead | line_flag::txDirty);
-    EXPECT_TRUE(a.contains(lineInRow(0, 0)));
-    EXPECT_EQ(a.flaggedCount(), 0u);
-    // Flag, clear all, then flag again: a stale count after the
-    // short-circuit would make the second clear skip real flags.
-    a.setFlags(lineInRow(0, 0), line_flag::txRead);
-    a.clearFlagsAll(line_flag::txRead);
-    EXPECT_EQ(a.flaggedCount(), 0u);
-    a.setFlags(lineInRow(2, 0), line_flag::txDirty);
-    EXPECT_EQ(a.flaggedCount(), 1u);
-    a.clearFlagsAll(line_flag::txDirty);
-    EXPECT_EQ(a.flagsOf(lineInRow(2, 0)), 0u);
-    EXPECT_EQ(a.flaggedCount(), 0u);
-    EXPECT_EQ(a.indexCheck(), "");
-}
-
 TEST(CacheArray, EvictedFlaggedVictimLeavesCount)
 {
     auto a = tinyArray();
@@ -199,7 +145,9 @@ TEST(CacheArray, EvictedFlaggedVictimLeavesCount)
     const auto victim = a.insert(lineInRow(0, 2));
     ASSERT_TRUE(victim.valid);
     EXPECT_EQ(victim.flags, line_flag::txDirty);
-    EXPECT_EQ(a.flaggedCount(), 0u);
+    // The flags leave with the victim: the new line starts clean.
+    EXPECT_EQ(a.flagsOf(lineInRow(0, 2)), 0u);
+    EXPECT_EQ(a.indexCheck(), "");
 }
 
 TEST(CacheArray, FindAndTouchUpdatesRecency)

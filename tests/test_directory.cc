@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@ using ztx::Addr;
 using ztx::CpuId;
 using ztx::invalidCpu;
 using ztx::mem::CoherenceDirectory;
+using ztx::mem::CpuRange;
+using ztx::mem::HolderScope;
 
 constexpr Addr lineA = 0x1000;
 constexpr Addr lineB = 0x2000;
@@ -135,10 +138,90 @@ TEST(Directory, SharersExceptSkipsSelfAndOwner)
     d.addSharer(lineA, 1);
     d.addSharer(lineA, 2);
     d.addSharer(lineA, 3);
-    const auto others = d.sharersExcept(lineA, 2);
+    std::vector<CpuId> others;
+    d.forEachSharerExcept(lineA, 2,
+                          [&](CpuId c) { others.push_back(c); });
     EXPECT_EQ(others.size(), 2u);
     EXPECT_EQ(others[0], CpuId(1));
     EXPECT_EQ(others[1], CpuId(3));
+}
+
+TEST(Directory, SharerWalkCopiesWordsAndSkipsOwner)
+{
+    CoherenceDirectory d;
+    d.configure(130);
+    d.addSharer(lineA, 129);
+    d.addSharer(lineA, 3);
+    d.addSharer(lineA, 64);
+    // The callback removes holders; the walk still visits every
+    // sharer of the state it started from, in ascending id.
+    std::vector<CpuId> seen;
+    d.forEachSharerExcept(lineA, invalidCpu, [&](CpuId c) {
+        seen.push_back(c);
+        d.remove(lineA, 3);
+        d.remove(lineA, 129);
+    });
+    EXPECT_EQ(seen, (std::vector<CpuId>{3, 64, 129}));
+
+    // An owner is its own sharer but is never visited.
+    d.setExclusive(lineB, 70);
+    seen.clear();
+    d.forEachSharerExcept(lineB, 5,
+                          [&](CpuId c) { seen.push_back(c); });
+    EXPECT_TRUE(seen.empty());
+}
+
+TEST(Directory, HolderScopeMasksCpuRanges)
+{
+    CoherenceDirectory d;
+    d.configure(130); // three sharer words, the last one partial
+    const CpuRange chip{60, 66};  // straddles words 0 and 1
+    const CpuRange mcm{48, 96};
+
+    // Absent line: nobody holds it.
+    HolderScope s = d.holderScope(lineA, 62, chip, mcm);
+    EXPECT_EQ(s.owner, invalidCpu);
+    EXPECT_FALSE(s.other || s.inChip || s.inMcm);
+
+    // The requester alone does not count as a holder.
+    d.addSharer(lineA, 62);
+    s = d.holderScope(lineA, 62, chip, mcm);
+    EXPECT_FALSE(s.other || s.inChip || s.inMcm);
+
+    // A sharer in the next word, inside the chip range.
+    d.addSharer(lineA, 65);
+    s = d.holderScope(lineA, 62, chip, mcm);
+    EXPECT_TRUE(s.other && s.inChip && s.inMcm);
+
+    // Only a far sharer in the partial last word.
+    d.remove(lineA, 65);
+    d.addSharer(lineA, 129);
+    s = d.holderScope(lineA, 62, chip, mcm);
+    EXPECT_TRUE(s.other);
+    EXPECT_FALSE(s.inChip || s.inMcm);
+
+    // Range ends are half-open: 66 is outside the chip, 95 inside
+    // the MCM, 96 outside it.
+    d.addSharer(lineA, 66);
+    s = d.holderScope(lineA, 62, chip, mcm);
+    EXPECT_FALSE(s.inChip);
+    EXPECT_TRUE(s.inMcm);
+    d.remove(lineA, 66);
+    d.addSharer(lineA, 95);
+    EXPECT_TRUE(d.holderScope(lineA, 62, chip, mcm).inMcm);
+    d.remove(lineA, 95);
+    d.addSharer(lineA, 96);
+    EXPECT_FALSE(d.holderScope(lineA, 62, chip, mcm).inMcm);
+
+    // The owner is reported, and counts only when it is not the
+    // requester.
+    d.setExclusive(lineB, 60);
+    s = d.holderScope(lineB, 60, chip, mcm);
+    EXPECT_EQ(s.owner, CpuId(60));
+    EXPECT_FALSE(s.other);
+    s = d.holderScope(lineB, 100, chip, mcm);
+    EXPECT_EQ(s.owner, CpuId(60));
+    EXPECT_TRUE(s.other && s.inChip && s.inMcm);
 }
 
 TEST(Directory, IndependentLines)

@@ -72,6 +72,23 @@ TEST(LatencyModel, PaperGivenLatencies)
     EXPECT_EQ(lat.fetch(DataSource::L2), 11u);
 }
 
+TEST(Topology, RangesMatchChipAndMcmOf)
+{
+    // A chip's and an MCM's CPUs form one contiguous range: the
+    // directory's holder query masks sharer words with these ranges.
+    for (const Topology t : {Topology(), Topology(6, 6, 4),
+                             Topology(7, 3, 5)}) {
+        for (ztx::CpuId a = 0; a < t.numCpus(); ++a) {
+            const auto chip = t.chipRange(a);
+            const auto mcm = t.mcmRange(a);
+            for (ztx::CpuId b = 0; b < t.numCpus(); ++b) {
+                EXPECT_EQ(chip.contains(b), t.chipOf(a) == t.chipOf(b));
+                EXPECT_EQ(mcm.contains(b), t.mcmOf(a) == t.mcmOf(b));
+            }
+        }
+    }
+}
+
 TEST(LatencyModel, InterventionGrowsWithDistance)
 {
     LatencyModel lat;
