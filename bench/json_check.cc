@@ -252,13 +252,8 @@ main(int argc, char **argv)
     if (!records || records->size() == 0)
         return fail(path, "missing or empty records");
     std::size_t prof_records = 0;
-    // Determinism is part of the schema contract: any record that
-    // carries a determinism verdict must carry a passing one.
     for (std::size_t i = 0; i < records->size(); ++i) {
         const ztx::Json &rec = records->at(i);
-        const ztx::Json *det = rec.find("determinism_ok");
-        if (det && !det->boolean())
-            return fail(path, "record with determinism_ok=false");
         // History-checker shape: a record produced with the op log
         // on (op_log=true) must carry exactly one checker section —
         // order_infer (inferred order) or lincheck (fallback /
@@ -299,26 +294,6 @@ main(int argc, char **argv)
             if (prof->find("enabled")->boolean() &&
                 sites->size() > 0)
                 prof_records += 1;
-        }
-        // Full-topology scale records break the host wall-clock
-        // down by scheduler phase; an incomplete or inconsistent
-        // breakdown would silently corrupt the Amdahl analysis the
-        // campaign exists to produce.
-        if (const ztx::Json *phase = rec.find("phase")) {
-            if (!phase->isObject())
-                return fail(path, "phase is not an object");
-            for (const char *key :
-                 {"parallel_seconds", "merge_seconds", "quanta",
-                  "merge_share"}) {
-                const ztx::Json *v = phase->find(key);
-                if (!v || !v->isNumber())
-                    return fail(path, "phase timing field missing "
-                                      "or not numeric");
-            }
-            const double share =
-                phase->find("merge_share")->number();
-            if (share < 0.0 || share > 1.0)
-                return fail(path, "phase.merge_share outside [0,1]");
         }
     }
     if (require_prof && prof_records == 0)

@@ -42,13 +42,6 @@ Json abortBreakdownJson(
     const std::map<std::string, std::uint64_t> &aborts_by_reason);
 
 /**
- * A scheduler summary as a JSON object: the "sched.*" counters plus
- * the derived serial fraction. All-zero under the legacy scheduler,
- * so the record shape is identical across scheduler modes.
- */
-Json schedStatsJson(const workload::SchedStatsSummary &sched);
-
-/**
  * A RAS summary as a JSON object: poison/machine-check activity and
  * what recovery did. All-zero (same shape) without RAS faults.
  */
@@ -75,7 +68,6 @@ resultJson(const Result &res)
     r["aborts_by_reason"] = abortBreakdownJson(res.abortsByReason);
     r["sim_cycles"] = std::uint64_t(res.elapsedCycles);
     r["instructions"] = res.instructions;
-    r["sched"] = schedStatsJson(res.sched);
     r["ras"] = rasStatsJson(res.ras);
     return r;
 }
@@ -88,6 +80,7 @@ class JsonReport
      * @param bench_name Short name; the default file is
      *        BENCH_<bench_name>.json.
      * @param argc/argv Scanned (not consumed) for `--json`.
+     * Also arms the phase profiler when ZTX_PROF is set.
      */
     explicit JsonReport(std::string bench_name, int argc = 0,
                         char **argv = nullptr);
@@ -104,17 +97,15 @@ class JsonReport
     /** Record the sweep's machine configuration under meta. */
     void setMachineConfig(const sim::MachineConfig &config);
 
-    /** Append one sweep-point record (no-op when disabled). */
+    /**
+     * Append one sweep-point record (no-op when disabled). With the
+     * phase profiler armed, the record also carries a `prof`
+     * snapshot of the host time spent since the previous record.
+     */
     void addRecord(Json record);
 
     /** Account simulated work for the sim-speed self-meter. */
     void addSimWork(Cycles cycles, std::uint64_t instructions);
-
-    /**
-     * Accumulate one run's scheduler activity into the doc-level
-     * "sched" object (always emitted, all-zero for legacy runs).
-     */
-    void addSched(const workload::SchedStatsSummary &sched);
 
     /**
      * Write the document (no-op success when disabled).
@@ -129,7 +120,6 @@ class JsonReport
     Json records_ = Json::array();
     std::uint64_t simCycles_ = 0;
     std::uint64_t instructions_ = 0;
-    workload::SchedStatsSummary sched_;
     std::chrono::steady_clock::time_point start_;
 };
 

@@ -1,8 +1,8 @@
-# Runs the scale bench in smoke mode with the phase profiler armed
-# (ZTX_PROF=1) and validates the resulting BENCH_scale.json with
-# json_check --require-prof: the check fails if any record carries
-# determinism_ok=false, if the prof section is malformed, or if no
-# record carries an enabled prof snapshot with sites. Invoked by the
+# Runs a bench in fast mode with the phase profiler armed
+# (ZTX_PROF=1) and validates the resulting BENCH_<name>.json with
+# json_check --require-prof: the check fails if a prof section is
+# malformed or if no record carries an enabled prof snapshot with
+# sites. Invoked by the
 # perf_smoke ctest target (run it under the LTO build with
 # `ctest --preset perf`):
 #   cmake -DBENCH_BIN=... -DCHECK_BIN=... -DOUT_DIR=...

@@ -57,8 +57,8 @@ Json
 snapshotJson()
 {
     // Aggregate by name: the same logical site may exist at several
-    // code locations (e.g. the legacy and sharded step loops), and
-    // sorted names keep the JSON shape deterministic.
+    // code locations, and sorted names keep the JSON shape
+    // deterministic.
     std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
         by_name;
     for (Site *s = detail::siteHead.load(std::memory_order_acquire);

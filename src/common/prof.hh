@@ -18,7 +18,7 @@
  * The accumulators hold *host* time (TSC ticks on x86, steady-clock
  * nanoseconds elsewhere). They therefore vary run to run and must
  * never feed simulated state or Machine::dumpStatsJson(), which the
- * determinism matrix byte-compares across host-thread counts; the
+ * determinism tests byte-compare across runs; the
  * bench harness dumps snapshotJson() into the bench JSON `prof`
  * section only (validated by bench/json_check). Sites nest freely —
  * an outer site's cycles include its inner sites' — and the dump
@@ -62,7 +62,7 @@ now()
 struct Site
 {
     const char *name;
-    /** Relaxed atomics: sites are shared by the shard threads. */
+    /** Relaxed atomics: sites are process-wide statics. */
     std::atomic<std::uint64_t> cycles{0};
     std::atomic<std::uint64_t> calls{0};
     Site *next = nullptr;

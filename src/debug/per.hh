@@ -50,14 +50,6 @@ struct PerControls
 
     /** TX extension (ii): event on outermost TEND completion. */
     bool tendEvent = false;
-
-    /** True if any PER function is active. */
-    bool
-    anyEnabled() const
-    {
-        return storeRange.enabled || ifetchRange.enabled ||
-               branchRange.enabled || tendEvent;
-    }
 };
 
 } // namespace ztx::debug

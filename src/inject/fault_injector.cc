@@ -159,9 +159,6 @@ FaultInjector::attachCpu(core::Cpu &cpu)
                            ((id + 1) * 0x94D049BB133111EBULL));
     poisonRng_.emplace_back(baseSeed_ +
                             (id + 1) * 0xD6E8FEB86659FD93ULL);
-    pendingStorms_.emplace_back();
-    pendingTargeted_.emplace_back();
-    pendingPoison_.emplace_back();
     lastAborts_.push_back(0);
     recent_.emplace_back();
     hot_.emplace_back();
@@ -177,12 +174,11 @@ FaultInjector::beforeStep(CpuId id, Cycles now)
         ++hot_[id].squeezeRestored;
     }
 
-    // Scheduled faults that came due. The cursor is global, so in
-    // sharded mode the flush consumes it at the barrier instead. A
-    // fault without an explicit target hits the CPU about to step —
-    // except line-addressed kinds, where the directory picks the
-    // victim (the line's holder) inside apply().
-    while (!sharded_ && nextScheduled_ < plan_.schedule.size() &&
+    // Scheduled faults that came due. A fault without an explicit
+    // target hits the CPU about to step — except line-addressed
+    // kinds, where the directory picks the victim (the line's
+    // holder) inside apply().
+    while (nextScheduled_ < plan_.schedule.size() &&
            plan_.schedule[nextScheduled_].at <= now) {
         const ScheduledFault &f = plan_.schedule[nextScheduled_++];
         const CpuId target =
@@ -199,103 +195,25 @@ FaultInjector::beforeStep(CpuId id, Cycles now)
     // Probabilistic faults against the CPU about to step: one draw
     // per *enabled* kind from the CPU's own stream, so a disabled
     // kind costs nothing and a given (plan, seed) pair replays
-    // bit-identically. Spurious aborts, squeezes, and interrupt
-    // bursts act on the target CPU alone and apply immediately; XI
-    // storms attack the shared directory and are deferred to the
-    // barrier in sharded mode.
+    // bit-identically.
     Rng &r = cpuRng_[id];
     if (plan_.spuriousAbortRate > 0 &&
         r.nextBool(plan_.spuriousAbortRate))
         apply(FaultKind::SpuriousAbort, id, now);
-    if (plan_.xiStormRate > 0 && r.nextBool(plan_.xiStormRate)) {
-        if (sharded_)
-            pendingStorms_[id].push_back(now);
-        else
-            apply(FaultKind::XiStorm, id, now);
-    }
+    if (plan_.xiStormRate > 0 && r.nextBool(plan_.xiStormRate))
+        apply(FaultKind::XiStorm, id, now);
     if (plan_.capacitySqueezeRate > 0 &&
         r.nextBool(plan_.capacitySqueezeRate))
         apply(FaultKind::CapacitySqueeze, id, now);
     if (plan_.interruptStormRate > 0 &&
         r.nextBool(plan_.interruptStormRate))
         apply(FaultKind::InterruptStorm, id, now);
-    // The line-addressed kinds attack the shared directory / the
-    // poison map and are serial-only, like XI storms: applied here
-    // in legacy mode, buffered to the barrier in sharded mode.
     if (plan_.targetedConflictRate > 0 &&
-        r.nextBool(plan_.targetedConflictRate)) {
-        if (sharded_)
-            pendingTargeted_[id].push_back(now);
-        else
-            apply(FaultKind::TargetedConflict, invalidCpu, now,
-                  plan_.targetedLine);
-    }
-    if (plan_.poisonRate > 0 && r.nextBool(plan_.poisonRate)) {
-        if (sharded_)
-            pendingPoison_[id].push_back(now);
-        else
-            apply(FaultKind::PoisonLine, id, now);
-    }
-
-    if (!sharded_)
-        evaluateScenario(now);
-}
-
-void
-FaultInjector::flushSharded(Cycles now)
-{
-    // Scheduled faults due in the elapsed quantum; untargeted
-    // entries hit CPU 0 (there is no "CPU about to step" at a
-    // barrier), except line-addressed kinds where the directory
-    // picks the line's holder inside apply(). Fired at their
-    // scheduled cycle.
-    while (nextScheduled_ < plan_.schedule.size() &&
-           plan_.schedule[nextScheduled_].at <= now) {
-        const ScheduledFault &f = plan_.schedule[nextScheduled_++];
-        const CpuId target =
-            f.kind == FaultKind::TargetedConflict
-                ? f.target
-                : (f.target == invalidCpu ? 0 : f.target);
-        if (target != invalidCpu && target >= cpus_.size())
-            ztx_fatal("scheduled fault targets CPU ", target,
-                      " but only ", cpus_.size(), " attached");
-        stats_.counter("scheduled.fired").inc();
-        apply(f.kind, target, f.at, f.line, f.poisonMemory);
-    }
-
-    // Buffered serial-only faults, merged across CPUs in
-    // (cycle, cpu, kind) order — deterministic however the parallel
-    // phase interleaved the drawing CPUs.
-    struct Pending
-    {
-        Cycles at;
-        CpuId cpu;
-        FaultKind kind;
-    };
-    std::vector<Pending> pend;
-    for (CpuId id = 0; id < CpuId(pendingStorms_.size()); ++id) {
-        for (const Cycles at : pendingStorms_[id])
-            pend.push_back({at, id, FaultKind::XiStorm});
-        pendingStorms_[id].clear();
-        for (const Cycles at : pendingTargeted_[id])
-            pend.push_back({at, id, FaultKind::TargetedConflict});
-        pendingTargeted_[id].clear();
-        for (const Cycles at : pendingPoison_[id])
-            pend.push_back({at, id, FaultKind::PoisonLine});
-        pendingPoison_[id].clear();
-    }
-    std::sort(pend.begin(), pend.end(),
-              [](const Pending &a, const Pending &b) {
-                  return std::tie(a.at, a.cpu, a.kind) <
-                         std::tie(b.at, b.cpu, b.kind);
-              });
-    for (const Pending &p : pend) {
-        if (p.kind == FaultKind::TargetedConflict)
-            // Victim comes from the directory, not the drawing CPU.
-            apply(p.kind, invalidCpu, p.at, plan_.targetedLine);
-        else
-            apply(p.kind, p.cpu, p.at);
-    }
+        r.nextBool(plan_.targetedConflictRate))
+        apply(FaultKind::TargetedConflict, invalidCpu, now,
+              plan_.targetedLine);
+    if (plan_.poisonRate > 0 && r.nextBool(plan_.poisonRate))
+        apply(FaultKind::PoisonLine, id, now);
 
     evaluateScenario(now);
 }
@@ -466,8 +384,6 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
       }
 
       case FaultKind::XiStorm: {
-        // Serial-only (legacy beforeStep or the barrier flush): the
-        // storm walks the shared directory.
         if (target == env_.soloHolder()) {
             // Broadcast-stop stopped "all conflicting work"; an
             // adversary is conflicting work too.
@@ -590,7 +506,7 @@ FaultInjector::firedCountsJson() const
     for (std::size_t k = 0; k < faultKindCount; ++k)
         j[faultKindName(FaultKind(k))] = sum[k];
     // XI delays never pass through apply(); report the folded
-    // counter (covers the serial fallback stream too).
+    // counter (covers the shared stream too).
     j["delayed_xi"] =
         stats_.counters().at("xi_delay.fired").value();
     return j;
@@ -634,11 +550,8 @@ FaultInjector::xiDelay(mem::XiKind kind, CpuId target,
     (void)requester;
     if (plan_.delayedXiRate <= 0)
         return 0;
-    // Per-target streams: a same-shard XI may be probed inside the
-    // parallel phase (shard-local fast path), so the draw must be a
-    // function of the target's own XI sequence only. Unattached
-    // fabric agents (the channel subsystem) are serial-only and use
-    // the shared stream.
+    // Per-target streams; unattached fabric agents (the channel
+    // subsystem) use the shared stream.
     if (target >= delayRng_.size()) {
         if (!rng_.nextBool(plan_.delayedXiRate))
             return 0;

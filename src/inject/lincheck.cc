@@ -161,9 +161,9 @@ class Engine
      */
     struct Window
     {
-        std::size_t first;
-        std::size_t lim;
-        Cycles minResp;
+        std::size_t first = 0;
+        std::size_t lim = 0;
+        Cycles minResp = 0;
         std::vector<std::size_t> cand;
     };
 
@@ -241,6 +241,8 @@ class Engine
      */
     struct Frame
     {
+        explicit Frame(State s) : state(std::move(s)) {}
+
         /** Spec state at the branch point (after forced ops). */
         State state;
         /** Forced-fast-path marks, undone when the frame dies. */
@@ -258,7 +260,7 @@ class Engine
     dfs(State state)
     {
         std::vector<Frame> stack;
-        stack.push_back(Frame{std::move(state)});
+        stack.emplace_back(std::move(state));
         // True when the top frame is being resumed after one of its
         // children exhausted its subtree without success.
         bool resuming = false;
@@ -345,11 +347,11 @@ class Engine
                         next.applyPending(op);
                     }
                     mark(c);
-                    stack.push_back(Frame{std::move(next)});
+                    stack.emplace_back(std::move(next));
                 } else {
                     // ... then assume it never happened.
                     mark(c);
-                    stack.push_back(Frame{f.state});
+                    stack.push_back(Frame(f.state));
                 }
                 pushed = true;
                 break;

@@ -164,13 +164,6 @@ CacheArray::insert(Addr line, std::uint8_t flags)
     return insertAt(probeForInsert(line), line, flags);
 }
 
-bool
-CacheArray::insertWouldEvict(Addr line) const
-{
-    return unsigned(std::popcount(validMask_[row(line)])) >=
-           effAssoc_;
-}
-
 void
 CacheArray::setEffectiveAssoc(unsigned ways)
 {

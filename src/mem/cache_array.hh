@@ -118,8 +118,7 @@ class CacheArray
     /**
      * One pass over @p line's congruence class resolving presence,
      * the slot a subsequent insertAt() would fill, and whether that
-     * insert would displace a victim (the insertWouldEvict()
-     * answer). Never mutates the array.
+     * insert would displace a victim. Never mutates the array.
      */
     Probe probeForInsert(Addr line) const;
 
@@ -148,15 +147,6 @@ class CacheArray
      * @return The displaced line, if any.
      */
     Victim insert(Addr line, std::uint8_t flags = 0);
-
-    /**
-     * True if insert(@p line) would displace a victim right now:
-     * the congruence class already holds effectiveAssoc() valid
-     * lines. The sharded fast path uses this to defer accesses
-     * whose install would have eviction side effects. O(1) on the
-     * per-set valid mask.
-     */
-    bool insertWouldEvict(Addr line) const;
 
     /** Remove @p line; true if it was present. */
     bool invalidate(Addr line);

@@ -9,8 +9,6 @@ namespace ztx::mem {
 
 namespace {
 
-constexpr auto relaxed = std::memory_order_relaxed;
-
 /** The bits of sharer word @p w that fall inside @p range. */
 std::uint64_t
 rangeBits(unsigned w, CpuRange range)
@@ -69,34 +67,23 @@ CoherenceDirectory::rehash(std::size_t new_cap)
 {
     const std::size_t old_cap = capacity_;
     std::vector<Addr> old_keys = std::move(keys_);
-    std::vector<std::atomic<CpuId>> old_owner =
-        std::move(owner_);
-    std::vector<std::atomic<std::uint64_t>> old_sharers =
-        std::move(sharers_);
-    std::vector<std::atomic<std::uint64_t>> old_l3 =
-        std::move(l3Mask_);
+    std::vector<CpuId> old_owner = std::move(owner_);
+    std::vector<std::uint64_t> old_sharers = std::move(sharers_);
 
     capacity_ = new_cap;
     mask_ = new_cap - 1;
     used_ = 0;
     keys_.assign(new_cap, emptyKey);
-    owner_ = std::vector<std::atomic<CpuId>>(new_cap);
-    for (auto &o : owner_)
-        o.store(invalidCpu, relaxed);
-    sharers_ = std::vector<std::atomic<std::uint64_t>>(
-        new_cap * sharerWords_);
-    l3Mask_ = std::vector<std::atomic<std::uint64_t>>(new_cap);
+    owner_.assign(new_cap, invalidCpu);
+    sharers_.assign(new_cap * sharerWords_, 0);
 
     for (std::size_t i = 0; i < old_cap; ++i) {
         if (old_keys[i] == emptyKey)
             continue;
         const std::size_t j = insertKey(old_keys[i]);
-        owner_[j].store(old_owner[i].load(relaxed), relaxed);
-        for (unsigned w = 0; w < sharerWords_; ++w)
-            sharers_[j * sharerWords_ + w].store(
-                old_sharers[i * sharerWords_ + w].load(relaxed),
-                relaxed);
-        l3Mask_[j].store(old_l3[i].load(relaxed), relaxed);
+        owner_[j] = old_owner[i];
+        std::copy_n(&old_sharers[i * sharerWords_], sharerWords_,
+                    &sharers_[j * sharerWords_]);
     }
 }
 
@@ -106,12 +93,7 @@ CoherenceDirectory::ensureIndex(Addr line)
     const std::size_t found = findIndex(line);
     if (found != npos)
         return found;
-    if (concurrent_)
-        ztx_panic("directory entry creation during a parallel "
-                  "phase (line 0x", std::hex, line, ")");
-    // Grow at 3/4 load so linear probe runs stay short. Rehashing
-    // here is safe for the same reason creation is: we are at a
-    // serial point, no shard is reading the table.
+    // Grow at 3/4 load so linear probe runs stay short.
     if (capacity_ == 0)
         rehash(initialCapacity);
     else if ((used_ + 1) * 4 > capacity_ * 3)
@@ -126,10 +108,9 @@ CoherenceDirectory::lookup(Addr line) const
     const std::size_t i = findIndex(line);
     if (i == npos)
         return e;
-    e.owner = owner_[i].load(relaxed);
+    e.owner = owner_[i];
     for (unsigned w = 0; w < sharerWords_; ++w) {
-        std::uint64_t word =
-            sharers_[i * sharerWords_ + w].load(relaxed);
+        std::uint64_t word = sharers_[i * sharerWords_ + w];
         while (word) {
             const unsigned bit =
                 unsigned(std::countr_zero(word));
@@ -137,7 +118,6 @@ CoherenceDirectory::lookup(Addr line) const
             word &= word - 1;
         }
     }
-    e.l3Mask = l3Mask_[i].load(relaxed);
     return e;
 }
 
@@ -147,11 +127,11 @@ CoherenceDirectory::holds(CpuId cpu, Addr line) const
     const std::size_t i = findIndex(line);
     if (i == npos)
         return false;
-    if (owner_[i].load(relaxed) == cpu)
+    if (owner_[i] == cpu)
         return true;
     if (cpu >= sharerWords_ * 64)
         return false;
-    return sharers_[i * sharerWords_ + cpu / 64].load(relaxed) &
+    return sharers_[i * sharerWords_ + cpu / 64] &
            (std::uint64_t(1) << (cpu % 64));
 }
 
@@ -159,7 +139,7 @@ CpuId
 CoherenceDirectory::ownerOf(Addr line) const
 {
     const std::size_t i = findIndex(line);
-    return i == npos ? invalidCpu : owner_[i].load(relaxed);
+    return i == npos ? invalidCpu : owner_[i];
 }
 
 void
@@ -168,11 +148,10 @@ CoherenceDirectory::setExclusive(Addr line, CpuId cpu)
     if (cpu >= sharerWords_ * 64)
         ztx_panic("directory cannot track cpu ", cpu);
     const std::size_t i = ensureIndex(line);
-    owner_[i].store(cpu, relaxed);
+    owner_[i] = cpu;
     for (unsigned w = 0; w < sharerWords_; ++w)
-        sharers_[i * sharerWords_ + w].store(
-            w == cpu / 64 ? std::uint64_t(1) << (cpu % 64) : 0,
-            relaxed);
+        sharers_[i * sharerWords_ + w] =
+            w == cpu / 64 ? std::uint64_t(1) << (cpu % 64) : 0;
 }
 
 void
@@ -181,24 +160,24 @@ CoherenceDirectory::addSharer(Addr line, CpuId cpu)
     if (cpu >= sharerWords_ * 64)
         ztx_panic("directory cannot track cpu ", cpu);
     const std::size_t i = ensureIndex(line);
-    const CpuId owner = owner_[i].load(relaxed);
+    const CpuId owner = owner_[i];
     if (owner != invalidCpu && owner != cpu)
         ztx_panic("addSharer while another CPU owns the line");
-    owner_[i].store(invalidCpu, relaxed);
-    sharers_[i * sharerWords_ + cpu / 64].fetch_or(
-        std::uint64_t(1) << (cpu % 64), relaxed);
+    owner_[i] = invalidCpu;
+    sharers_[i * sharerWords_ + cpu / 64] |= std::uint64_t(1)
+                                             << (cpu % 64);
 }
 
 void
 CoherenceDirectory::demoteOwner(Addr line)
 {
     const std::size_t i = ensureIndex(line);
-    const CpuId owner = owner_[i].load(relaxed);
+    const CpuId owner = owner_[i];
     if (owner == invalidCpu)
         ztx_panic("demoteOwner on unowned line");
-    sharers_[i * sharerWords_ + owner / 64].fetch_or(
-        std::uint64_t(1) << (owner % 64), relaxed);
-    owner_[i].store(invalidCpu, relaxed);
+    sharers_[i * sharerWords_ + owner / 64] |= std::uint64_t(1)
+                                               << (owner % 64);
+    owner_[i] = invalidCpu;
 }
 
 void
@@ -207,17 +186,11 @@ CoherenceDirectory::remove(Addr line, CpuId cpu)
     const std::size_t i = findIndex(line);
     if (i == npos)
         return;
-    // The owner clear is only reached by the owner's own shard (a
-    // line with an owner has exactly one holder), so the check-then-
-    // store pair cannot race with a concurrent owner claim.
-    if (owner_[i].load(relaxed) == cpu)
-        owner_[i].store(invalidCpu, relaxed);
+    if (owner_[i] == cpu)
+        owner_[i] = invalidCpu;
     if (cpu < sharerWords_ * 64)
-        sharers_[i * sharerWords_ + cpu / 64].fetch_and(
-            ~(std::uint64_t(1) << (cpu % 64)), relaxed);
-    // Idle slots are deliberately kept: the L3-residency mask
-    // outlives the holders, and erasure would mutate the table's
-    // structure under concurrent shard reads.
+        sharers_[i * sharerWords_ + cpu / 64] &=
+            ~(std::uint64_t(1) << (cpu % 64));
 }
 
 HolderScope
@@ -228,15 +201,14 @@ CoherenceDirectory::holderScope(Addr line, CpuId requester,
     const std::size_t i = findIndex(line);
     if (i == npos)
         return s;
-    s.owner = owner_[i].load(relaxed);
+    s.owner = owner_[i];
     if (s.owner != invalidCpu && s.owner != requester) {
         s.other = true;
         s.inChip = chip.contains(s.owner);
         s.inMcm = mcm.contains(s.owner);
     }
     for (unsigned w = 0; w < sharerWords_; ++w) {
-        std::uint64_t word =
-            sharers_[i * sharerWords_ + w].load(relaxed);
+        std::uint64_t word = sharers_[i * sharerWords_ + w];
         if (w == requester / 64)
             word &= ~(std::uint64_t(1) << (requester % 64));
         if (word == 0)
@@ -255,39 +227,18 @@ CoherenceDirectory::trackedLines() const
     for (std::size_t i = 0; i < capacity_; ++i) {
         if (keys_[i] == emptyKey)
             continue;
-        if (owner_[i].load(relaxed) != invalidCpu) {
+        if (owner_[i] != invalidCpu) {
             ++n;
             continue;
         }
         for (unsigned w = 0; w < sharerWords_; ++w) {
-            if (sharers_[i * sharerWords_ + w].load(relaxed) !=
-                0) {
+            if (sharers_[i * sharerWords_ + w] != 0) {
                 ++n;
                 break;
             }
         }
     }
     return n;
-}
-
-void
-CoherenceDirectory::setL3Resident(Addr line, unsigned chip)
-{
-    if (chip >= maxDirectoryChips)
-        ztx_panic("directory cannot track chip ", chip);
-    l3Mask_[ensureIndex(line)].fetch_or(std::uint64_t(1) << chip,
-                                        relaxed);
-}
-
-void
-CoherenceDirectory::clearL3Resident(Addr line, unsigned chip)
-{
-    if (chip >= maxDirectoryChips)
-        ztx_panic("directory cannot track chip ", chip);
-    const std::size_t i = findIndex(line);
-    if (i != npos)
-        l3Mask_[i].fetch_and(~(std::uint64_t(1) << chip),
-                             relaxed);
 }
 
 } // namespace ztx::mem

@@ -17,7 +17,6 @@
 #ifndef ZTX_MEM_HIERARCHY_HH
 #define ZTX_MEM_HIERARCHY_HH
 
-#include <bitset>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -41,23 +40,6 @@ struct AccessResult
 
     /** True if a Demote/Exclusive XI was stiff-armed; retry later. */
     bool rejected = false;
-
-    /**
-     * True when a local-only fetch (sharded parallel phase) would
-     * have had to leave the shard: no state moved, nothing was
-     * charged, and the step must be re-executed at the quantum
-     * barrier. Distinct from `rejected`, which is an architectural
-     * stiff-arm outcome that feeds the TM hang-avoidance ladder.
-     */
-    bool deferred = false;
-
-    /**
-     * True when a local-only fetch was resolved inside the parallel
-     * phase by the shard-local fast path (same-chip L3 hit or
-     * same-shard coherence) instead of deferring. Feeds the
-     * scheduler's sched.l3_local_hits counter.
-     */
-    bool shardLocal = false;
 
     /** CPU that rejected the XI (valid when rejected). */
     CpuId rejecter = invalidCpu;
@@ -83,36 +65,9 @@ class Hierarchy
      * @param cpu Requesting CPU.
      * @param line Line-aligned address.
      * @param exclusive True for store access (needs ownership).
-     * @param local_only When true (sharded parallel phase), the
-     *        access is serviced only if it stays inside the CPU's
-     *        shard: private L1/L2 hits always, and — when a shard
-     *        partition is registered — same-chip L3 hits and
-     *        same-shard coherence actions via the shard-local fast
-     *        path. Anything that would leave the shard returns
-     *        deferred with no state moved and no counters charged.
      * @return latency/rejection outcome; on rejection no state moved.
      */
-    AccessResult fetch(CpuId cpu, Addr line, bool exclusive,
-                       bool local_only = false);
-
-    /**
-     * Register the sharded scheduler's partition so local-only
-     * fetches can use the shard-local fast path (DESIGN.md §5b).
-     * There is one shard per chip, holding the chip's CPUs below
-     * @p active_cpus; the I/O agent belongs to no shard. Without a
-     * registered partition every non-private local-only access
-     * defers. The eligibility decision depends only on this
-     * partition and on cache state that is stable across a parallel
-     * phase — never on host-thread count or interleaving.
-     */
-    void setShardPartition(unsigned active_cpus);
-
-    /**
-     * Forwarded to the coherence directory: while set, directory
-     * entry creation (only possible via serial-path fetches) panics,
-     * catching any fast-path access that escaped its shard.
-     */
-    void setConcurrentPhase(bool on) { dir_.setConcurrentPhase(on); }
+    AccessResult fetch(CpuId cpu, Addr line, bool exclusive);
 
     /**
      * @name Transactional bit plane (paper §III.C)
@@ -165,8 +120,7 @@ class Hierarchy
     const LatencyModel &latencyModel() const { return lat_; }
     const HierarchyGeometry &geometry() const { return geo_; }
     const CacheArray &l1Array(CpuId cpu) const { return l1_[cpu]; }
-    // Hot-path fetch counters accumulate in per-CPU padded deltas
-    // (no shared-counter contention in the parallel phase) and are
+    // Hot-path fetch counters accumulate in per-CPU deltas and are
     // folded into the StatGroup whenever stats are observed.
     StatGroup &stats() { foldHotCounters(); return stats_; }
     const StatGroup &stats() const { foldHotCounters(); return stats_; }
@@ -255,7 +209,7 @@ class Hierarchy
     static constexpr std::uint8_t poisonMemorySide = 0x2;
 
     /**
-     * Inject poison on @p line (serial points only). With
+     * Inject poison on @p line. With
      * @p memory_side the home image is corrupt too: scrubLine()
      * cannot recover it and the OS model kills/restarts instead.
      */
@@ -293,7 +247,7 @@ class Hierarchy
     }
 
     /**
-     * Machine-check recovery, step 1 (serial points only): refresh
+     * Machine-check recovery, step 1: refresh
      * the cached image of @p line from memory.
      * @return True if the scrub succeeded (memory image clean);
      *         false when the memory image is itself poisoned.
@@ -301,8 +255,8 @@ class Hierarchy
     bool scrubLine(Addr line);
 
     /**
-     * Machine-check recovery, step 2 for memory-side poison (serial
-     * points only): the OS reinitializes the frame, clearing all
+     * Machine-check recovery, step 2 for memory-side poison: the OS
+     * reinitializes the frame, clearing all
      * poison on @p line. Pairs with kill-and-restart of the
      * workload item that owned the data.
      */
@@ -311,8 +265,7 @@ class Hierarchy
     /**
      * True if @p line is currently part of @p cpu's transactional
      * footprint (tx-read/tx-dirty latch or evicted-but-tracked LRU
-     * extension). Cheap single-line variant of txFootprintLines();
-     * phase-safe (reads per-CPU state only).
+     * extension). Cheap single-line variant of txFootprintLines().
      */
     bool inTxFootprint(CpuId cpu, Addr line) const;
     /** @} */
@@ -327,12 +280,10 @@ class Hierarchy
 
   private:
     /**
-     * Counters touched by CPU-local fetch paths that may run
-     * concurrently in the sharded scheduler's parallel phase. One
-     * cache-line-padded slot per CPU, written only by that CPU's
-     * host thread; folded idempotently into stats_ on observation.
+     * Counters of the per-access fetch and XI paths: one slot per
+     * CPU, folded idempotently into stats_ on observation.
      */
-    struct alignas(64) HotCounters
+    struct HotCounters
     {
         std::uint64_t fetchTotal = 0;
         std::uint64_t l1Hit = 0;
@@ -342,8 +293,7 @@ class Hierarchy
         std::uint64_t txDirtyKilled = 0;
         std::uint64_t fetchMiss = 0;
         std::uint64_t l2Evict = 0;
-        // XI counters are indexed by the XI *target*, whose shard is
-        // the one acting on its caches in the fast path.
+        // XI counters are indexed by the XI *target*.
         std::uint64_t xiReadOnly = 0;
         std::uint64_t xiDemote = 0;
         std::uint64_t xiExclusive = 0;
@@ -365,9 +315,6 @@ class Hierarchy
     /** @p other_holder: a CPU other than @p cpu held @p line. */
     void propagatePoisonOnFill(CpuId cpu, Addr line, bool other_holder,
                                DataSource source);
-    bool shardLocalEligible(CpuId cpu, const DirectoryEntry &e) const;
-    DataSource shardLocalSource(CpuId cpu, Addr line) const;
-    void installShardLocal(CpuId cpu, Addr line);
 
     XiResponse sendXi(XiKind kind, Addr line, CpuId target,
                       CpuId requester);
@@ -412,33 +359,15 @@ class Hierarchy
      */
     std::vector<std::vector<Addr>> txLines_;
     bool lruExtEnabled_ = true;
-    /**
-     * Shard partition for the local fast path: shardBits_[chip]
-     * holds the CPU-id membership of that chip's shard. Empty means
-     * no partition is registered (all non-private local-only
-     * accesses defer).
-     */
-    std::vector<std::bitset<maxDirectoryCpus>> shardBits_;
-    /**
-     * Whether the directory's L3-residency mask is maintained
-     * (topologies beyond maxDirectoryChips chips cannot use it, and
-     * therefore cannot register a shard partition either).
-     */
-    bool l3MaskTracked_ = true;
-    /**
-     * Poison bits per line (poisonCached/poisonMemorySide). Inserts
-     * and erases happen at serial points only; in-phase code performs
-     * lookups and value-only mutations of existing entries, which are
-     * safe under shard confinement (no rehash, disjoint lines).
-     */
+    /** Poison bits per line (poisonCached/poisonMemorySide). */
     std::unordered_map<Addr, std::uint8_t> poison_;
-    /** Fast gate for the common no-poison case (serial writes). */
+    /** Fast gate for the common no-poison case. */
     bool poisonActive_ = false;
     XiDelayProbe *xiProbe_ = nullptr;
     std::vector<HotCounters> hot_;
     mutable HotCounters hotFolded_{};
     mutable StatGroup stats_;
-    /** @name Shared-cache eviction counters (serial paths only) @{ */
+    /** @name Shared-cache eviction counters @{ */
     CounterHandle l3EvictStat_{stats_, "l3.evict"};
     CounterHandle l4EvictStat_{stats_, "l4.evict"};
     /** @} */

@@ -13,7 +13,6 @@
 #ifndef ZTX_MEM_LATENCY_MODEL_HH
 #define ZTX_MEM_LATENCY_MODEL_HH
 
-#include <algorithm>
 
 #include "common/types.hh"
 #include "mem/topology.hh"
@@ -80,27 +79,6 @@ struct LatencyModel
     rejectRetry(Distance d) const
     {
         return intervention(d) / 2 + 8;
-    }
-
-    /**
-     * Minimum number of cycles any interaction that leaves a CPU's
-     * own chip can take: the cheapest L4/remote/memory fetch,
-     * cross-chip intervention, or cross-chip reject-retry stall.
-     * Shards own whole chips and resolve all intra-chip
-     * interactions inside the parallel phase (the shard-local L3
-     * fast path), so the sharded scheduler's quantum only has to
-     * bound cross-chip visibility — this value. Clamped to >= 1.
-     */
-    Cycles
-    minCrossChipLatency() const
-    {
-        Cycles m = std::min({l4Hit, remoteMcm, memory});
-        for (const Distance d :
-             {Distance::SameMcm, Distance::CrossMcm}) {
-            m = std::min(m, intervention(d));
-            m = std::min(m, rejectRetry(d));
-        }
-        return std::max<Cycles>(m, 1);
     }
 };
 

@@ -78,9 +78,8 @@ TEST(Directory, RemoveOwnerAndSharers)
 
 TEST(Directory, RemoveLeavesIdleEntriesUntracked)
 {
-    // Never-erase contract: remove() leaves the slot in place (the
-    // sharded scheduler reads entries concurrently), but idle
-    // entries stop counting as tracked lines.
+    // Never-erase contract: remove() leaves the slot in place, but
+    // idle entries stop counting as tracked lines.
     CoherenceDirectory d;
     d.addSharer(lineA, 0);
     d.addSharer(lineB, 0);
@@ -88,48 +87,6 @@ TEST(Directory, RemoveLeavesIdleEntriesUntracked)
     d.remove(lineA, 0);
     EXPECT_EQ(d.trackedLines(), 1u);
     EXPECT_TRUE(d.lookup(lineA).idle());
-}
-
-TEST(Directory, L3ResidencyMaskTracksChips)
-{
-    CoherenceDirectory d;
-    d.setL3Resident(lineA, 0);
-    d.setL3Resident(lineA, 3);
-    EXPECT_EQ(d.lookup(lineA).l3Mask, 0b1001u);
-    d.clearL3Resident(lineA, 0);
-    EXPECT_EQ(d.lookup(lineA).l3Mask, 0b1000u);
-    d.clearL3Resident(lineA, 3);
-    EXPECT_EQ(d.lookup(lineA).l3Mask, 0u);
-    // Lines the mask never saw read as not resident anywhere.
-    EXPECT_EQ(d.lookup(lineB).l3Mask, 0u);
-}
-
-TEST(Directory, L3MaskSurvivesHolderRemoval)
-{
-    // The residency mask outlives the holders: an L3 line with no
-    // current CPU holder is exactly the case the shard-local fast
-    // path resolves in-phase.
-    CoherenceDirectory d;
-    d.addSharer(lineA, 2);
-    d.setL3Resident(lineA, 1);
-    d.remove(lineA, 2);
-    EXPECT_TRUE(d.lookup(lineA).idle());
-    EXPECT_EQ(d.lookup(lineA).l3Mask, 0b10u);
-}
-
-TEST(Directory, ConcurrentPhaseMutatesExistingSlots)
-{
-    // During a parallel phase existing entries may be mutated, only
-    // entry *creation* is forbidden (it would rehash the map under
-    // concurrent readers).
-    CoherenceDirectory d;
-    d.addSharer(lineA, 1);
-    d.setConcurrentPhase(true);
-    d.addSharer(lineA, 2);
-    d.remove(lineA, 1);
-    d.setConcurrentPhase(false);
-    EXPECT_TRUE(d.holds(2, lineA));
-    EXPECT_FALSE(d.holds(1, lineA));
 }
 
 TEST(Directory, SharersExceptSkipsSelfAndOwner)
@@ -236,8 +193,8 @@ TEST(Directory, IndependentLines)
 TEST(Directory, RehashMigratesSlotsIntact)
 {
     // Push far past the initial capacity so the flat table grows
-    // several times; every entry's owner, sharers, and residency
-    // mask must survive each slot migration.
+    // several times; every entry's owner and sharers must survive
+    // each slot migration.
     CoherenceDirectory d;
     const std::size_t cap0 = d.capacity();
     constexpr unsigned n = 3000;
@@ -249,8 +206,6 @@ TEST(Directory, RehashMigratesSlotsIntact)
             d.setExclusive(lineOf(i), CpuId(i % 64));
         else
             d.addSharer(lineOf(i), CpuId(i % 64));
-        if (i % 2 == 0)
-            d.setL3Resident(lineOf(i), i % 8);
     }
     EXPECT_GT(d.capacity(), cap0);
     EXPECT_EQ(d.size(), std::size_t(n)); // never-erase: all keys live
@@ -260,30 +215,9 @@ TEST(Directory, RehashMigratesSlotsIntact)
             EXPECT_EQ(e.owner, CpuId(i % 64)) << i;
         else
             EXPECT_TRUE(e.sharers[i % 64]) << i;
-        EXPECT_EQ(e.l3Mask,
-                  i % 2 == 0 ? std::uint64_t(1) << (i % 8) : 0u)
-            << i;
     }
     // Growth keeps the table under its 3/4 load bound.
     EXPECT_LE(d.size() * 4, d.capacity() * 3);
-}
-
-TEST(Directory, ConcurrentPhaseEntryCreationPanics)
-{
-    // Entry creation rehashes under concurrent readers; the guard
-    // must turn a fast-path access that escaped its shard into a
-    // deterministic panic, and mutation of existing entries must
-    // keep the table size fixed (no hidden insert path).
-    CoherenceDirectory d;
-    d.addSharer(lineA, 1);
-    d.setConcurrentPhase(true);
-    const std::size_t sz = d.size();
-    d.setExclusive(lineA, 2);
-    d.remove(lineA, 2);
-    EXPECT_EQ(d.size(), sz);
-    EXPECT_DEATH(d.addSharer(lineB, 1), "parallel phase");
-    EXPECT_DEATH(d.setExclusive(lineB, 1), "parallel phase");
-    EXPECT_DEATH(d.setL3Resident(lineB, 0), "parallel phase");
 }
 
 TEST(Directory, ConfigureSizesSharerWords)
