@@ -1,16 +1,12 @@
 #include "hashtable.hh"
 
-#include <iostream>
 #include <string>
 
 #include "common/log.hh"
-#include "debug/replay_dump.hh"
 #include "isa/assembler.hh"
 #include "locks/lock_gen.hh"
 #include "workload/elision.hh"
 #include "workload/layout.hh"
-#include "workload/op_log.hh"
-#include "workload/report.hh"
 
 namespace ztx::workload {
 
@@ -136,121 +132,72 @@ buildHashTableProgram(const HashTableBenchConfig &cfg)
 HashTableBenchResult
 runHashTableBench(const HashTableBenchConfig &cfg)
 {
-    sim::MachineConfig mcfg = cfg.machine;
-    mcfg.activeCpus = cfg.cpus;
-    mcfg.seed = cfg.seed;
-    sim::Machine machine(mcfg);
-
-    // Pre-fill the table with the whole key space so the read-
-    // mostly mix mostly hits (the paper's steady-state hashtable).
-    for (std::uint64_t key = 1; key <= cfg.keySpace; ++key) {
-        std::uint64_t b = bucketOf(key, cfg.buckets);
-        for (unsigned probe = 0; probe < cfg.maxProbes; ++probe) {
-            const Addr slot = hashTableBase + (b + probe) * 256;
-            if (machine.memory().read(slot, 8) == 0 ||
-                machine.memory().read(slot, 8) == key) {
-                machine.memory().write(slot, key, 8);
-                machine.memory().write(slot + 8, key, 8);
-                break;
-            }
-        }
-    }
-
-    // Slots occupied by the prefill: puts only ever add keys, so
-    // the oracle's occupancy floor after any chaotic run. The full
-    // slot array doubles as the checker's initial state.
+    const Program program = buildHashTableProgram(cfg);
+    const auto bucket_of = [&](std::uint64_t key) {
+        return bucketOf(key, cfg.buckets);
+    };
     std::int64_t prefill_occupied = 0;
     std::vector<std::uint64_t> initial_slots;
-    for (unsigned b = 0; b < cfg.buckets + cfg.maxProbes; ++b) {
-        const std::uint64_t key =
-            machine.memory().read(hashTableBase + Addr(b) * 256, 8);
-        initial_slots.push_back(key);
-        if (key)
-            ++prefill_occupied;
-    }
-
-    const Program program = buildHashTableProgram(cfg);
-    machine.setProgramAll(&program);
-    OpLog oplog(machine.numCpus(), cfg.opLogCapacity);
-    if (cfg.opLog) {
-        for (unsigned i = 0; i < machine.numCpus(); ++i)
-            machine.cpu(i).setOpRecorder(&oplog);
-    }
-    const Cycles elapsed = machine.run();
     HashTableBenchResult res;
-    res.watchdogFired = machine.watchdogFired();
-    if (!machine.allHalted() && !res.watchdogFired)
-        ztx_fatal("hash-table benchmark did not run to completion");
-
-    res.elapsedCycles = elapsed;
-    double region_sum = 0;
-    std::uint64_t region_count = 0;
-    for (unsigned i = 0; i < machine.numCpus(); ++i) {
-        auto &cpu = machine.cpu(i);
-        region_sum += cpu.regionCycles().sum();
-        region_count += cpu.regionCycles().count();
-    }
-    const TxStatsSummary tx = collectTxStats(machine);
-    res.ras = collectRasStats(machine);
-    res.txCommits = tx.commits;
-    res.txAborts = tx.aborts;
-    res.instructions = tx.instructions;
-    res.abortsByReason = tx.abortsByReason;
-    res.meanRegionCycles =
-        region_count ? region_sum / double(region_count) : 0.0;
-    res.throughput = res.meanRegionCycles > 0
-                         ? double(cfg.cpus) / res.meanRegionCycles
-                         : 0.0;
-
-    if (cfg.opLog) {
-        // Behavior check: runs even after a watchdog halt (recorded
-        // registers only; in-flight ops stay pending).
-        const auto history = oplog.history(
-            [&](const OpRecord &rec, inject::LinOp &op) {
-                op.code = rec.a1 < cfg.putPercent
-                              ? inject::LinOpCode::MapPut
-                              : inject::LinOpCode::MapGet;
-                op.arg = rec.a0;
-                op.result = rec.result;
-            });
-        res.orderInfer = checkLoggedHistoryOrdered(oplog, [&] {
-            return inject::inferMapLinearizable(
-                history, initial_slots, cfg.buckets, cfg.maxProbes,
-                [&](std::uint64_t key) {
-                    return bucketOf(key, cfg.buckets);
-                });
-        });
-        res.lincheck = res.orderInfer.verdict;
-        if (res.lincheck.checked && !res.lincheck.linearizable) {
-            res.oracle.fail("operation history not linearizable: " +
-                            res.lincheck.reason);
-            std::cerr << debug::replayScheduleDump(history,
-                                                   res.orderInfer);
+    WorkloadRun run;
+    run.name = "hash-table";
+    run.machine = &cfg.machine;
+    run.cpus = cfg.cpus;
+    run.seed = cfg.seed;
+    run.program = &program;
+    run.opLog = cfg.opLog;
+    run.opLogCapacity = cfg.opLogCapacity;
+    run.prefill = [&](sim::Machine &machine) {
+        // The whole key space, so the read-mostly mix mostly hits
+        // (the paper's steady-state hashtable).
+        for (std::uint64_t key = 1; key <= cfg.keySpace; ++key) {
+            std::uint64_t b = bucket_of(key);
+            for (unsigned probe = 0; probe < cfg.maxProbes; ++probe) {
+                const Addr slot = hashTableBase + (b + probe) * 256;
+                if (machine.memory().read(slot, 8) == 0 ||
+                    machine.memory().read(slot, 8) == key) {
+                    machine.memory().write(slot, key, 8);
+                    machine.memory().write(slot + 8, key, 8);
+                    break;
+                }
+            }
         }
-    }
-
-    if (res.watchdogFired) {
-        res.oracle.fail("forward-progress watchdog fired; "
-                        "structures unchecked");
-        return res;
-    }
-
-    machine.drainAllStores();
-    for (unsigned b = 0; b < cfg.buckets + cfg.maxProbes; ++b) {
-        if (machine.memory().read(hashTableBase + Addr(b) * 256, 8))
-            ++res.occupiedBuckets;
-    }
-    inject::OracleReport structural = inject::checkHashTable(
-        machine.memory(), machine.allHalted(), hashTableBase,
-        cfg.buckets, cfg.maxProbes,
-        [&](std::uint64_t key) {
-            return bucketOf(key, cfg.buckets);
-        },
-        prefill_occupied, std::int64_t(cfg.keySpace));
-    for (auto &v : structural.violations)
-        res.oracle.fail(std::move(v));
-    if (std::string why = indexOracleCheck(machine); !why.empty())
-        res.oracle.fail("hot-path index inconsistent: " + why);
+        // Slots occupied by the prefill: puts only ever add keys,
+        // so the oracle's occupancy floor after any chaotic run.
+        // The full slot array doubles as the checker's initial
+        // state.
+        for (unsigned b = 0; b < cfg.buckets + cfg.maxProbes; ++b) {
+            const std::uint64_t key = machine.memory().read(
+                hashTableBase + Addr(b) * 256, 8);
+            initial_slots.push_back(key);
+            if (key)
+                ++prefill_occupied;
+        }
+    };
+    run.decode = [&](const OpRecord &rec, inject::LinOp &op) {
+        // One log code for both ops: the raw selector splits them.
+        op.code = rec.a1 < cfg.putPercent ? inject::LinOpCode::MapPut
+                                          : inject::LinOpCode::MapGet;
+        op.arg = rec.a0;
+        op.result = rec.result;
+    };
+    run.infer = [&](const std::vector<inject::LinOp> &history) {
+        return inject::inferMapLinearizable(history, initial_slots,
+                                            cfg.buckets,
+                                            cfg.maxProbes, bucket_of);
+    };
+    run.walk = [&](sim::Machine &machine) {
+        for (unsigned b = 0; b < cfg.buckets + cfg.maxProbes; ++b) {
+            if (machine.memory().read(hashTableBase + Addr(b) * 256,
+                                      8))
+                ++res.occupiedBuckets;
+        }
+        return inject::checkHashTable(
+            machine.memory(), machine.allHalted(), hashTableBase,
+            cfg.buckets, cfg.maxProbes, bucket_of, prefill_occupied,
+            std::int64_t(cfg.keySpace));
+    };
+    runWorkload(run, res);
     return res;
 }
 

@@ -17,12 +17,9 @@
 
 #include <cstdint>
 
-#include "inject/lincheck.hh"
-#include "inject/oracle.hh"
-#include "inject/order_infer.hh"
 #include "isa/program.hh"
 #include "sim/machine.hh"
-#include "workload/report.hh"
+#include "workload/run.hh"
 
 namespace ztx::workload {
 
@@ -48,33 +45,11 @@ struct HashTableBenchConfig
     sim::MachineConfig machine{};
 };
 
-/** Outcome of one hash-table run. */
-struct HashTableBenchResult
+/** Outcome of one hash-table run (oracle: inject::checkHashTable). */
+struct HashTableBenchResult : RunResult
 {
-    double meanRegionCycles = 0;
-    double throughput = 0; ///< cpus / meanRegionCycles
-    std::uint64_t txCommits = 0;
-    std::uint64_t txAborts = 0;
-    Cycles elapsedCycles = 0;
-    /** Instructions executed, summed over CPUs. */
-    std::uint64_t instructions = 0;
-    /** Abort counts keyed by tx::abortReasonName(). */
-    std::map<std::string, std::uint64_t> abortsByReason;
-
-    /** Poison/machine-check activity (zero without RAS faults). */
-    RasSummary ras;
-
     /** Occupied buckets at the end (sanity). */
     unsigned occupiedBuckets = 0;
-
-    /** The forward-progress watchdog stopped the run (chaos). */
-    bool watchdogFired = false;
-    /** Structural verdict (inject::checkHashTable). */
-    inject::OracleReport oracle;
-    /** History verdict (cfg.opLog; unchecked when logging is off). */
-    inject::LinVerdict lincheck;
-    /** Full order-inference report behind `lincheck`. */
-    inject::OrderInferReport orderInfer;
 };
 
 /** Build the generated program for @p cfg. */

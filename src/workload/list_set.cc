@@ -1,18 +1,14 @@
 #include "list_set.hh"
 
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "debug/replay_dump.hh"
 #include "isa/assembler.hh"
 #include "locks/lock_gen.hh"
 #include "workload/elision.hh"
 #include "workload/layout.hh"
-#include "workload/op_log.hh"
-#include "workload/report.hh"
 
 namespace ztx::workload {
 
@@ -185,117 +181,66 @@ buildListSetProgram(const ListSetBenchConfig &cfg)
 ListSetBenchResult
 runListSetBench(const ListSetBenchConfig &cfg)
 {
-    sim::MachineConfig mcfg = cfg.machine;
-    mcfg.activeCpus = cfg.cpus;
-    mcfg.seed = cfg.seed;
-    sim::Machine machine(mcfg);
-
-    // Pre-fill: a sorted chain of the selected keys.
-    Rng prefill_rng(cfg.seed ^ 0xBEEF);
-    std::vector<std::uint64_t> keys;
-    for (std::uint64_t k = 1; k <= cfg.keySpace; ++k)
-        if (prefill_rng.nextBool(cfg.prefillPercent / 100.0))
-            keys.push_back(k);
-    Addr prev = listBase;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        const Addr node = listPrefillArena + Addr(i) * 256;
-        machine.memory().write(node + 0, keys[i], 8);
-        machine.memory().write(prev + 8, node, 8);
-        prev = node;
-    }
-    machine.memory().write(prev + 8, 0, 8);
-
     const Program program = buildListSetProgram(cfg);
-    machine.setProgramAll(&program);
-    OpLog oplog(machine.numCpus(), cfg.opLogCapacity);
-    for (unsigned i = 0; i < cfg.cpus; ++i) {
-        machine.cpu(i).setGr(
-            15, arenaBase + Addr(i) * arenaStride);
-        if (cfg.opLog)
-            machine.cpu(i).setOpRecorder(&oplog);
-    }
-    const Cycles elapsed = machine.run();
+    std::vector<std::uint64_t> keys;
     ListSetBenchResult res;
-    res.watchdogFired = machine.watchdogFired();
-    if (!machine.allHalted() && !res.watchdogFired)
-        ztx_fatal("list-set benchmark did not run to completion");
-
-    res.elapsedCycles = elapsed;
-    double region_sum = 0;
-    std::uint64_t region_count = 0;
-    std::int64_t net_inserts = 0;
-    for (unsigned i = 0; i < machine.numCpus(); ++i) {
-        auto &cpu = machine.cpu(i);
-        region_sum += cpu.regionCycles().sum();
-        region_count += cpu.regionCycles().count();
-        net_inserts += std::int64_t(cpu.gr(14));
-    }
-    const TxStatsSummary tx = collectTxStats(machine);
-    res.ras = collectRasStats(machine);
-    res.txCommits = tx.commits;
-    res.txAborts = tx.aborts;
-    res.instructions = tx.instructions;
-    res.abortsByReason = tx.abortsByReason;
-    res.meanRegionCycles =
-        region_count ? region_sum / double(region_count) : 0.0;
-    res.throughput = res.meanRegionCycles > 0
-                         ? double(cfg.cpus) / res.meanRegionCycles
-                         : 0.0;
-
-    if (cfg.opLog) {
-        // Behavior check: runs even after a watchdog halt — it uses
-        // recorded registers, not a structural walk, and the last
-        // in-flight op per CPU is simply pending (maybe completed).
-        const auto history = oplog.history(
-            [](const OpRecord &rec, inject::LinOp &op) {
-                op.code = inject::LinOpCode(rec.code);
-                op.arg = rec.a0;
-                op.result = rec.result;
-            });
-        res.orderInfer = checkLoggedHistoryOrdered(oplog, [&] {
-            return inject::inferSetLinearizable(history, keys);
-        });
-        res.lincheck = res.orderInfer.verdict;
-        if (res.lincheck.checked && !res.lincheck.linearizable) {
-            res.oracle.fail("operation history not linearizable: " +
-                            res.lincheck.reason);
-            std::cerr << debug::replayScheduleDump(history,
-                                                   res.orderInfer);
+    WorkloadRun run;
+    run.name = "list-set";
+    run.machine = &cfg.machine;
+    run.cpus = cfg.cpus;
+    run.seed = cfg.seed;
+    run.program = &program;
+    run.arena = true;
+    run.opLog = cfg.opLog;
+    run.opLogCapacity = cfg.opLogCapacity;
+    run.prefill = [&](sim::Machine &machine) {
+        // A sorted chain of the selected keys.
+        Rng prefill_rng(cfg.seed ^ 0xBEEF);
+        for (std::uint64_t k = 1; k <= cfg.keySpace; ++k)
+            if (prefill_rng.nextBool(cfg.prefillPercent / 100.0))
+                keys.push_back(k);
+        Addr prev = listBase;
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            const Addr node = listPrefillArena + Addr(i) * 256;
+            machine.memory().write(node + 0, keys[i], 8);
+            machine.memory().write(prev + 8, node, 8);
+            prev = node;
         }
-    }
-
-    if (res.watchdogFired) {
-        // Mid-flight transactions hold buffered state; the
-        // structure cannot be judged. The run itself is the failure.
-        res.oracle.fail("forward-progress watchdog fired; "
-                        "structures unchecked");
-        return res;
-    }
-
-    // Validate the structure.
-    machine.drainAllStores();
-    res.sorted = true;
-    std::int64_t last_key = 0;
-    Addr node = machine.memory().read(listBase + 8, 8);
-    while (node != 0 && res.finalLength <= 100000) {
-        const auto key =
-            std::int64_t(machine.memory().read(node + 0, 8));
-        if (key <= last_key)
-            res.sorted = false;
-        last_key = key;
-        ++res.finalLength;
-        node = machine.memory().read(node + 8, 8);
-    }
-    res.lengthConsistent =
-        std::int64_t(keys.size()) + net_inserts ==
-        std::int64_t(res.finalLength);
-    inject::OracleReport structural = inject::checkListSet(
-        machine.memory(), machine.allHalted(), listBase,
-        std::int64_t(keys.size()) + net_inserts);
-    for (auto &v : structural.violations)
-        res.oracle.fail(std::move(v));
-    if (std::string why = indexOracleCheck(machine); !why.empty())
-        res.oracle.fail("hot-path index inconsistent: " + why);
+        machine.memory().write(prev + 8, 0, 8);
+    };
+    run.decode = [](const OpRecord &rec, inject::LinOp &op) {
+        op.code = inject::LinOpCode(rec.code);
+        op.arg = rec.a0;
+        op.result = rec.result;
+    };
+    run.infer = [&](const std::vector<inject::LinOp> &history) {
+        return inject::inferSetLinearizable(history, keys);
+    };
+    run.walk = [&](sim::Machine &machine) {
+        std::int64_t net_inserts = 0;
+        for (unsigned i = 0; i < machine.numCpus(); ++i)
+            net_inserts += std::int64_t(machine.cpu(i).gr(14));
+        res.sorted = true;
+        std::int64_t last_key = 0;
+        Addr node = machine.memory().read(listBase + 8, 8);
+        while (node != 0 && res.finalLength <= 100000) {
+            const auto key =
+                std::int64_t(machine.memory().read(node + 0, 8));
+            if (key <= last_key)
+                res.sorted = false;
+            last_key = key;
+            ++res.finalLength;
+            node = machine.memory().read(node + 8, 8);
+        }
+        const std::int64_t expected =
+            std::int64_t(keys.size()) + net_inserts;
+        res.lengthConsistent =
+            expected == std::int64_t(res.finalLength);
+        return inject::checkListSet(machine.memory(),
+                                    machine.allHalted(), listBase,
+                                    expected);
+    };
+    runWorkload(run, res);
     return res;
 }
 

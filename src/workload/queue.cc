@@ -1,14 +1,9 @@
 #include "queue.hh"
 
-#include <iostream>
-
 #include "common/log.hh"
-#include "debug/replay_dump.hh"
 #include "isa/assembler.hh"
 #include "locks/lock_gen.hh"
 #include "workload/layout.hh"
-#include "workload/op_log.hh"
-#include "workload/report.hh"
 
 namespace ztx::workload {
 
@@ -125,97 +120,48 @@ buildQueueProgram(const QueueBenchConfig &cfg)
 QueueBenchResult
 runQueueBench(const QueueBenchConfig &cfg)
 {
-    sim::MachineConfig mcfg = cfg.machine;
-    mcfg.activeCpus = cfg.cpus;
-    mcfg.seed = cfg.seed;
-    sim::Machine machine(mcfg);
-
-    // Initial state: head = tail = dummy node with next = nullptr.
-    machine.memory().write(queueBase + headDisp, dummyNodeAddr, 8);
-    machine.memory().write(queueBase + tailDisp, dummyNodeAddr, 8);
-    machine.memory().write(dummyNodeAddr + 8, 0, 8);
-
     const Program program = buildQueueProgram(cfg);
-    machine.setProgramAll(&program);
-    OpLog oplog(machine.numCpus(), cfg.opLogCapacity);
-    for (unsigned i = 0; i < cfg.cpus; ++i) {
-        machine.cpu(i).setGr(
-            15, arenaBase + Addr(i) * arenaStride);
-        if (cfg.opLog)
-            machine.cpu(i).setOpRecorder(&oplog);
-    }
-    const Cycles elapsed = machine.run();
     QueueBenchResult res;
-    res.watchdogFired = machine.watchdogFired();
-    if (!machine.allHalted() && !res.watchdogFired)
-        ztx_fatal("queue benchmark did not run to completion");
-
-    res.elapsedCycles = elapsed;
-    double region_sum = 0;
-    std::uint64_t region_count = 0;
-    for (unsigned i = 0; i < machine.numCpus(); ++i) {
-        auto &cpu = machine.cpu(i);
-        region_sum += cpu.regionCycles().sum();
-        region_count += cpu.regionCycles().count();
-        res.dequeuedNonEmpty += cpu.gr(14);
-    }
-    const TxStatsSummary tx = collectTxStats(machine);
-    res.ras = collectRasStats(machine);
-    res.txCommits = tx.commits;
-    res.txAborts = tx.aborts;
-    res.instructions = tx.instructions;
-    res.abortsByReason = tx.abortsByReason;
-    res.meanRegionCycles =
-        region_count ? region_sum / double(region_count) : 0.0;
-    res.throughput = res.meanRegionCycles > 0
-                         ? double(cfg.cpus) / res.meanRegionCycles
-                         : 0.0;
-
-    if (cfg.opLog) {
-        // Behavior check: runs even after a watchdog halt (recorded
-        // registers only; in-flight ops stay pending).
-        const auto history = oplog.history(
-            [](const OpRecord &rec, inject::LinOp &op) {
-                op.code = inject::LinOpCode(rec.code);
-                op.arg = rec.a0;
-                op.result = rec.result;
-            });
-        res.orderInfer = checkLoggedHistoryOrdered(oplog, [&] {
-            return inject::inferQueueLinearizable(history, {});
-        });
-        res.lincheck = res.orderInfer.verdict;
-        if (res.lincheck.checked && !res.lincheck.linearizable) {
-            res.oracle.fail("operation history not linearizable: " +
-                            res.lincheck.reason);
-            std::cerr << debug::replayScheduleDump(history,
-                                                   res.orderInfer);
-        }
-    }
-
-    if (res.watchdogFired) {
-        res.oracle.fail("forward-progress watchdog fired; "
-                        "structures unchecked");
-        return res;
-    }
-
-    // Walk the queue for the final length (bounded: a corrupted
-    // next chain must not hang the harness); enqueues - successful
-    // dequeues must match it.
-    machine.drainAllStores();
-    Addr node = machine.memory().read(queueBase + headDisp, 8);
-    while ((node = machine.memory().read(node + 8, 8)) != 0 &&
-           res.finalLength <= 1000000)
-        ++res.finalLength;
-    const std::int64_t expected =
-        std::int64_t(cfg.cpus) * cfg.iterations -
-        std::int64_t(res.dequeuedNonEmpty);
-    inject::OracleReport structural = inject::checkQueue(
-        machine.memory(), machine.allHalted(), queueBase + headDisp,
-        queueBase + tailDisp, expected);
-    for (auto &v : structural.violations)
-        res.oracle.fail(std::move(v));
-    if (std::string why = indexOracleCheck(machine); !why.empty())
-        res.oracle.fail("hot-path index inconsistent: " + why);
+    WorkloadRun run;
+    run.name = "queue";
+    run.machine = &cfg.machine;
+    run.cpus = cfg.cpus;
+    run.seed = cfg.seed;
+    run.program = &program;
+    run.arena = true;
+    run.opLog = cfg.opLog;
+    run.opLogCapacity = cfg.opLogCapacity;
+    run.prefill = [](sim::Machine &machine) {
+        // head = tail = dummy node with next = nullptr.
+        machine.memory().write(queueBase + headDisp, dummyNodeAddr, 8);
+        machine.memory().write(queueBase + tailDisp, dummyNodeAddr, 8);
+        machine.memory().write(dummyNodeAddr + 8, 0, 8);
+    };
+    run.decode = [](const OpRecord &rec, inject::LinOp &op) {
+        op.code = inject::LinOpCode(rec.code);
+        op.arg = rec.a0;
+        op.result = rec.result;
+    };
+    run.infer = [](const std::vector<inject::LinOp> &history) {
+        return inject::inferQueueLinearizable(history, {});
+    };
+    run.walk = [&](sim::Machine &machine) {
+        for (unsigned i = 0; i < machine.numCpus(); ++i)
+            res.dequeuedNonEmpty += machine.cpu(i).gr(14);
+        // Bounded: a corrupted next chain must not hang the
+        // harness. Enqueues - successful dequeues must match it.
+        Addr node = machine.memory().read(queueBase + headDisp, 8);
+        while ((node = machine.memory().read(node + 8, 8)) != 0 &&
+               res.finalLength <= 1000000)
+            ++res.finalLength;
+        const std::int64_t expected =
+            std::int64_t(cfg.cpus) * cfg.iterations -
+            std::int64_t(res.dequeuedNonEmpty);
+        return inject::checkQueue(
+            machine.memory(), machine.allHalted(),
+            queueBase + headDisp, queueBase + tailDisp, expected);
+    };
+    runWorkload(run, res);
     return res;
 }
 

@@ -134,50 +134,26 @@ buildUpdateProgram(const UpdateBenchConfig &cfg)
 UpdateBenchResult
 runUpdateBench(const UpdateBenchConfig &cfg)
 {
-    sim::MachineConfig mcfg = cfg.machine;
-    mcfg.activeCpus = cfg.cpus;
-    mcfg.seed = cfg.seed;
-    sim::Machine machine(mcfg);
-
     const Program program = buildUpdateProgram(cfg);
-    machine.setProgramAll(&program);
-    const Cycles elapsed = machine.run();
-
-    if (!machine.allHalted())
-        ztx_fatal("update benchmark did not run to completion");
-
     UpdateBenchResult res;
-    res.elapsedCycles = elapsed;
-    double region_sum = 0;
-    std::uint64_t region_count = 0;
-    for (unsigned i = 0; i < machine.numCpus(); ++i) {
-        auto &cpu = machine.cpu(i);
-        region_sum = region_sum + cpu.regionCycles().sum();
-        region_count += cpu.regionCycles().count();
-    }
-    const TxStatsSummary tx = collectTxStats(machine);
-    res.ras = collectRasStats(machine);
-    res.txCommits = tx.commits;
-    res.txAborts = tx.aborts;
-    res.xiRejects = tx.xiRejects;
-    res.instructions = tx.instructions;
-    res.abortsByReason = tx.abortsByReason;
-    if (region_count == 0)
-        ztx_fatal("no measured regions recorded");
-    res.meanRegionCycles = region_sum / double(region_count);
-    res.throughput = double(cfg.cpus) / res.meanRegionCycles;
-
-    machine.drainAllStores();
-    for (unsigned i = 0; i < cfg.poolSize; ++i) {
-        res.poolSum += machine.memory().read(
-            poolBase + Addr(i) * 256, 8);
-    }
-    // The 4-consecutive-lines variant of the single-variable pool.
-    if (cfg.poolSize == 1 && cfg.varsPerOp == 4) {
-        for (unsigned v = 1; v < 4; ++v)
-            res.poolSum += machine.memory().read(
-                poolBase + Addr(v) * 256, 8);
-    }
+    WorkloadRun run;
+    run.name = "update";
+    run.machine = &cfg.machine;
+    run.cpus = cfg.cpus;
+    run.seed = cfg.seed;
+    run.program = &program;
+    run.strict = true;
+    run.walk = [&](sim::Machine &machine) {
+        // The 4-consecutive-lines variant of the single-variable
+        // pool spans four lines.
+        const unsigned lines =
+            cfg.poolSize == 1 && cfg.varsPerOp == 4 ? 4 : cfg.poolSize;
+        for (unsigned i = 0; i < lines; ++i)
+            res.poolSum +=
+                machine.memory().read(poolBase + Addr(i) * 256, 8);
+        return inject::OracleReport{};
+    };
+    runWorkload(run, res);
     return res;
 }
 

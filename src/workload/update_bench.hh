@@ -16,7 +16,7 @@
 
 #include "isa/program.hh"
 #include "sim/machine.hh"
-#include "workload/report.hh"
+#include "workload/run.hh"
 
 namespace ztx::workload {
 
@@ -47,29 +47,9 @@ struct UpdateBenchConfig
     sim::MachineConfig machine{}; ///< topology/geometry/costs
 };
 
-/** Aggregated outcome of one experiment run. */
-struct UpdateBenchResult
+/** Outcome of one experiment run. */
+struct UpdateBenchResult : RunResult
 {
-    /** Mean measured region length (cycles per operation). */
-    double meanRegionCycles = 0;
-
-    /** System throughput: cpus / meanRegionCycles (paper §IV). */
-    double throughput = 0;
-
-    std::uint64_t txCommits = 0;
-    std::uint64_t txAborts = 0;
-    std::uint64_t xiRejects = 0;
-    Cycles elapsedCycles = 0;
-
-    /** Instructions executed, summed over CPUs. */
-    std::uint64_t instructions = 0;
-
-    /** Abort counts keyed by tx::abortReasonName(). */
-    std::map<std::string, std::uint64_t> abortsByReason;
-
-    /** Poison/machine-check activity (zero without RAS faults). */
-    RasSummary ras;
-
     /** Sum of all pool variables after the run (correctness). */
     std::uint64_t poolSum = 0;
 };
