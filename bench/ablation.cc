@@ -37,14 +37,10 @@ contendedThroughput(bench::JsonReport &report, unsigned cpus,
     cfg.machine = ztx::bench::benchMachine();
     cfg.machine.tm.stiffArmEnabled = stiff_arm;
     const auto res = runUpdateBench(cfg);
-    report.addSimWork(res.elapsedCycles, res.instructions);
-    if (report.enabled()) {
-        Json rec = bench::resultJson(res);
-        rec["section"] = "stiff-arm";
-        rec["cpus"] = cpus;
-        rec["variant"] = stiff_arm ? "stiff-arm" : "no-stiff-arm";
-        report.addRecord(std::move(rec));
-    }
+    report.addResult(
+        res, {{"section", "stiff-arm"},
+              {"cpus", cpus},
+              {"variant", stiff_arm ? "stiff-arm" : "no-stiff-arm"}});
     return res.throughput;
 }
 
@@ -195,28 +191,23 @@ main(int argc, char **argv)
         sim::Machine machine(mcfg);
         const isa::Program prog = buildUpdateProgram(cfg);
         machine.setProgramAll(&prog);
-        const Cycles elapsed = machine.run();
-        double region_sum = 0;
-        std::uint64_t region_count = 0, reduced = 0;
+        RunResult res;
+        summarizeRun(machine, cfg.cpus, machine.run(), res);
+        std::uint64_t reduced = 0;
         for (unsigned i = 0; i < machine.numCpus(); ++i) {
-            region_sum += machine.cpu(i).regionCycles().sum();
-            region_count += machine.cpu(i).regionCycles().count();
             reduced += machine.cpu(i)
                            .stats()
                            .counter("millicode.speculation_reduced")
                            .value();
         }
-        report.addSimWork(elapsed,
-                          collectTxStats(machine).instructions);
-        const double thr =
-            double(cfg.cpus) / (region_sum / double(region_count));
-        om.addRow(prob, {1000.0 * thr, double(reduced)});
+        report.addSimWork(res.elapsedCycles, res.instructions);
+        om.addRow(prob, {1000.0 * res.throughput, double(reduced)});
         if (report.enabled()) {
             Json rec = Json::object();
             rec["section"] = "overmark";
             rec["overmark_prob"] = prob;
             rec["cpus"] = cfg.cpus;
-            rec["throughput"] = thr;
+            rec["throughput"] = res.throughput;
             rec["speculation_reduced"] = reduced;
             report.addRecord(std::move(rec));
         }

@@ -82,14 +82,6 @@ benchMachine()
     return cfg;
 }
 
-/** The paper's normalization constant for throughput plots. */
-inline double
-normalizationReference()
-{
-    return workload::referenceThroughput(benchMachine(),
-                                         4 * benchIterations());
-}
-
 } // namespace ztx::bench
 
 #endif // ZTX_BENCH_BENCH_UTIL_HH

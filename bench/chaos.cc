@@ -130,60 +130,46 @@ hotLineOf(const std::string &wl)
 /** Watchdog window: generous against backoff, tiny against hangs. */
 constexpr Cycles watchdogWindow = 2'000'000;
 
-struct Outcome
-{
-    double throughput = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    bool oracleOk = false;
-    bool watchdogFired = false;
-    std::string oracleSummary;
-    inject::LinVerdict lincheck;
-    inject::OrderInferReport orderInfer;
-};
-
 /**
- * Emit the history-checker section of a chaos record: exactly one
- * of `order_infer` (the O(n log n) oracle inferred the order) or
+ * Record one chaos point: the result, the point's identity, its
+ * verdicts, and the history-checker section — exactly one of
+ * `order_infer` (the O(n log n) oracle inferred the order) or
  * `lincheck` (DFS fallback / truncated / protocol error), never
- * both — json_check enforces this shape.
+ * both; json_check enforces this shape.
  */
 void
-addCheckerSection(Json &rec, const Outcome &out)
+recordPoint(bench::JsonReport &report, const workload::RunResult &res,
+            const std::string &wl, const char *mix, double scale,
+            bool oracle_ok, const inject::FaultPlan &plan)
 {
-    rec["op_log"] = true;
-    if (out.orderInfer.inferred) {
-        rec["order_infer"] = inject::orderInferJson(out.orderInfer);
+    Json::Object keys = {{"workload", wl},
+                         {"mix", mix},
+                         {"rate_scale", scale},
+                         {"oracle_ok", oracle_ok},
+                         {"watchdog_fired", res.watchdogFired},
+                         {"oracle_summary", res.oracle.summary()},
+                         {"op_log", true},
+                         {"fault_plan", inject::faultPlanJson(plan)}};
+    if (res.orderInfer.inferred) {
+        keys["order_infer"] = inject::orderInferJson(res.orderInfer);
     } else {
-        Json lc = inject::linVerdictJson(out.lincheck);
-        if (!out.orderInfer.fallbackReason.empty())
-            lc["fallback_reason"] = out.orderInfer.fallbackReason;
-        rec["lincheck"] = std::move(lc);
+        Json lc = inject::linVerdictJson(res.lincheck);
+        if (!res.orderInfer.fallbackReason.empty())
+            lc["fallback_reason"] = res.orderInfer.fallbackReason;
+        keys["lincheck"] = std::move(lc);
     }
+    report.addResult(res, std::move(keys));
 }
 
 /**
  * Run workload @p wl on four CPUs with the op log on: @p iterations
- * operations per CPU on @p mcfg. The run's simulated work goes into
- * @p report and its result record into @p rec.
+ * operations per CPU on @p mcfg. @p oracle_ok gets the point's
+ * structural verdict.
  */
-Outcome
+workload::RunResult
 runPoint(const std::string &wl, const sim::MachineConfig &mcfg,
-         unsigned iterations, bench::JsonReport &report, Json &rec)
+         unsigned iterations, bool &oracle_ok)
 {
-    Outcome out;
-    const auto take = [&](const auto &res, bool oracle_ok) {
-        out.throughput = res.throughput;
-        out.commits = res.txCommits;
-        out.aborts = res.txAborts;
-        out.oracleOk = oracle_ok;
-        out.watchdogFired = res.watchdogFired;
-        out.oracleSummary = res.oracle.summary();
-        out.lincheck = res.lincheck;
-        out.orderInfer = res.orderInfer;
-        report.addSimWork(res.elapsedCycles, res.instructions);
-        rec = bench::resultJson(res);
-    };
     if (wl == "list_set") {
         workload::ListSetBenchConfig cfg;
         cfg.cpus = 4;
@@ -192,8 +178,10 @@ runPoint(const std::string &wl, const sim::MachineConfig &mcfg,
         cfg.opLog = true;
         cfg.machine = mcfg;
         const auto res = workload::runListSetBench(cfg);
-        take(res, res.oracle.ok && res.sorted && res.lengthConsistent);
-    } else if (wl == "hashtable") {
+        oracle_ok = res.oracle.ok && res.sorted && res.lengthConsistent;
+        return res;
+    }
+    if (wl == "hashtable") {
         workload::HashTableBenchConfig cfg;
         cfg.cpus = 4;
         cfg.useElision = true;
@@ -201,18 +189,18 @@ runPoint(const std::string &wl, const sim::MachineConfig &mcfg,
         cfg.opLog = true;
         cfg.machine = mcfg;
         const auto res = workload::runHashTableBench(cfg);
-        take(res, res.oracle.ok);
-    } else {
-        workload::QueueBenchConfig cfg;
-        cfg.cpus = 4;
-        cfg.useConstrainedTx = true;
-        cfg.iterations = iterations;
-        cfg.opLog = true;
-        cfg.machine = mcfg;
-        const auto res = workload::runQueueBench(cfg);
-        take(res, res.oracle.ok);
+        oracle_ok = res.oracle.ok;
+        return res;
     }
-    return out;
+    workload::QueueBenchConfig cfg;
+    cfg.cpus = 4;
+    cfg.useConstrainedTx = true;
+    cfg.iterations = iterations;
+    cfg.opLog = true;
+    cfg.machine = mcfg;
+    const auto res = workload::runQueueBench(cfg);
+    oracle_ok = res.oracle.ok;
+    return res;
 }
 
 } // namespace
@@ -255,8 +243,8 @@ main(int argc, char **argv)
             mcfg.faults = plan;
             mcfg.watchdogCycles = watchdogWindow;
 
-            Json rec;
-            const Outcome out = runPoint(wl, mcfg, iters, report, rec);
+            bool oracle_ok = false;
+            const auto res = runPoint(wl, mcfg, iters, oracle_ok);
 
             // A non-linearizable history already failed the oracle
             // (the runner folds it in); an *unchecked* one on a run
@@ -265,32 +253,22 @@ main(int argc, char **argv)
             // *truncated* log is an explicit, expected verdict (the
             // ring overflowed), not a violation: the point passes
             // so long as the structure oracle is clean.
-            const bool lincheck_ok = out.lincheck.checked ||
-                                     out.lincheck.truncated ||
-                                     out.watchdogFired;
-            const bool point_ok = out.oracleOk &&
-                                  !out.watchdogFired && lincheck_ok;
+            const bool lincheck_ok = res.lincheck.checked ||
+                                     res.lincheck.truncated ||
+                                     res.watchdogFired;
+            const bool point_ok = oracle_ok && !res.watchdogFired &&
+                                  lincheck_ok;
             all_ok = all_ok && point_ok;
             std::printf("  %-10s %-10s %-5.2g %10.5f %8llu %8llu  "
                         "%s%s\n",
                         wl.c_str(), mix.name, mix.scale,
-                        out.throughput,
-                        (unsigned long long)out.commits,
-                        (unsigned long long)out.aborts,
-                        out.watchdogFired ? "WATCHDOG " : "",
-                        out.oracleSummary.c_str());
-
-            if (report.enabled()) {
-                rec["workload"] = wl;
-                rec["mix"] = mix.name;
-                rec["rate_scale"] = mix.scale;
-                rec["oracle_ok"] = out.oracleOk;
-                rec["watchdog_fired"] = out.watchdogFired;
-                rec["oracle_summary"] = out.oracleSummary;
-                addCheckerSection(rec, out);
-                rec["fault_plan"] = inject::faultPlanJson(plan);
-                report.addRecord(std::move(rec));
-            }
+                        res.throughput,
+                        (unsigned long long)res.txCommits,
+                        (unsigned long long)res.txAborts,
+                        res.watchdogFired ? "WATCHDOG " : "",
+                        res.oracle.summary().c_str());
+            recordPoint(report, res, wl, mix.name, mix.scale,
+                        oracle_ok, plan);
         }
     }
 
@@ -308,40 +286,30 @@ main(int argc, char **argv)
 
         // ~100k operations: 4 CPUs x 25k, or x 12.5k enqueue +
         // dequeue pairs for the queue.
-        Json rec;
-        const Outcome out = runPoint(
-            wl, mcfg, wl == "queue" ? 12500 : 25000, report, rec);
+        bool oracle_ok = false;
+        const auto res = runPoint(
+            wl, mcfg, wl == "queue" ? 12500 : 25000, oracle_ok);
 
         // The whole point of the scale: a definitive verdict from
         // the inferred order. A fallback here (pending ops, version
         // gaps) or an unchecked verdict fails the point.
-        const bool point_ok = out.oracleOk && !out.watchdogFired &&
-                              out.lincheck.checked &&
-                              out.orderInfer.inferred;
+        const bool point_ok = oracle_ok && !res.watchdogFired &&
+                              res.lincheck.checked &&
+                              res.orderInfer.inferred;
         all_ok = all_ok && point_ok;
         std::printf("  %-10s %-10s %-5s %10.5f %8llu %8llu  "
                     "%s%s [order_infer: %llu ops, %llu edges%s]\n",
-                    wl.c_str(), "large", "0.25", out.throughput,
-                    (unsigned long long)out.commits,
-                    (unsigned long long)out.aborts,
-                    out.watchdogFired ? "WATCHDOG " : "",
-                    out.oracleSummary.c_str(),
-                    (unsigned long long)out.orderInfer.orderLength,
-                    (unsigned long long)(out.orderInfer.versionEdges +
-                                         out.orderInfer.programEdges),
-                    out.orderInfer.inferred ? "" : " FALLBACK");
-
-        if (report.enabled()) {
-            rec["workload"] = wl;
-            rec["mix"] = "large_history";
-            rec["rate_scale"] = 0.25;
-            rec["oracle_ok"] = out.oracleOk;
-            rec["watchdog_fired"] = out.watchdogFired;
-            rec["oracle_summary"] = out.oracleSummary;
-            addCheckerSection(rec, out);
-            rec["fault_plan"] = inject::faultPlanJson(plan);
-            report.addRecord(std::move(rec));
-        }
+                    wl.c_str(), "large", "0.25", res.throughput,
+                    (unsigned long long)res.txCommits,
+                    (unsigned long long)res.txAborts,
+                    res.watchdogFired ? "WATCHDOG " : "",
+                    res.oracle.summary().c_str(),
+                    (unsigned long long)res.orderInfer.orderLength,
+                    (unsigned long long)(res.orderInfer.versionEdges +
+                                         res.orderInfer.programEdges),
+                    res.orderInfer.inferred ? "" : " FALLBACK");
+        recordPoint(report, res, wl, "large_history", 0.25, oracle_ok,
+                    plan);
     }
 
     if (!report.write())

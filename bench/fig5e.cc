@@ -41,14 +41,10 @@ main(int argc, char **argv)
             if (!elide && threads == 2)
                 lock2 = res.throughput;
             row.push_back(res.throughput);
-            report.addSimWork(res.elapsedCycles, res.instructions);
-            if (report.enabled()) {
-                Json rec = bench::resultJson(res);
-                rec["cpus"] = threads;
-                rec["variant"] = elide ? "tbegin" : "lock";
-                rec["occupied_buckets"] = res.occupiedBuckets;
-                report.addRecord(std::move(rec));
-            }
+            report.addResult(
+                res, {{"cpus", threads},
+                      {"variant", elide ? "tbegin" : "lock"},
+                      {"occupied_buckets", res.occupiedBuckets}});
         }
         table.addRow(threads,
                      {100.0 * row[0] / lock2, 100.0 * row[1] / lock2});

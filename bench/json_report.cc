@@ -56,6 +56,24 @@ abortBreakdownJson(
     return breakdown;
 }
 
+Json
+resultJson(const workload::RunResult &res)
+{
+    Json r = Json::object();
+    r["throughput"] = res.throughput;
+    r["mean_region_cycles"] = res.meanRegionCycles;
+    r["commits"] = res.txCommits;
+    r["aborts"] = res.txAborts;
+    const double attempts = double(res.txCommits + res.txAborts);
+    r["abort_rate"] =
+        attempts > 0.0 ? double(res.txAborts) / attempts : 0.0;
+    r["aborts_by_reason"] = abortBreakdownJson(res.abortsByReason);
+    r["sim_cycles"] = std::uint64_t(res.elapsedCycles);
+    r["instructions"] = res.instructions;
+    r["ras"] = rasStatsJson(res.ras);
+    return r;
+}
+
 JsonReport::JsonReport(std::string bench_name, int argc,
                        char **argv)
     : name_(std::move(bench_name)),
@@ -89,6 +107,19 @@ JsonReport::addSimWork(Cycles cycles, std::uint64_t instructions)
 {
     simCycles_ += std::uint64_t(cycles);
     instructions_ += instructions;
+}
+
+void
+JsonReport::addResult(const workload::RunResult &res,
+                      Json::Object keys)
+{
+    addSimWork(res.elapsedCycles, res.instructions);
+    if (!enabled())
+        return;
+    Json rec = resultJson(res);
+    for (auto &[key, value] : keys)
+        rec[key] = std::move(value);
+    addRecord(std::move(rec));
 }
 
 bool

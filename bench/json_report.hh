@@ -26,6 +26,7 @@
 #include "common/types.hh"
 #include "sim/machine.hh"
 #include "workload/report.hh"
+#include "workload/run.hh"
 
 namespace ztx::bench {
 
@@ -50,27 +51,9 @@ Json rasStatsJson(const workload::RasSummary &ras);
 /**
  * The shared result fields of one sweep-point record: throughput,
  * commit/abort counts, the abort-reason breakdown, and the
- * simulated work (cycles, instructions) behind the point. Works
- * with every workload *BenchResult.
+ * simulated work (cycles, instructions) behind the point.
  */
-template <typename Result>
-Json
-resultJson(const Result &res)
-{
-    Json r = Json::object();
-    r["throughput"] = res.throughput;
-    r["mean_region_cycles"] = res.meanRegionCycles;
-    r["commits"] = res.txCommits;
-    r["aborts"] = res.txAborts;
-    const double attempts = double(res.txCommits + res.txAborts);
-    r["abort_rate"] =
-        attempts > 0.0 ? double(res.txAborts) / attempts : 0.0;
-    r["aborts_by_reason"] = abortBreakdownJson(res.abortsByReason);
-    r["sim_cycles"] = std::uint64_t(res.elapsedCycles);
-    r["instructions"] = res.instructions;
-    r["ras"] = rasStatsJson(res.ras);
-    return r;
-}
+Json resultJson(const workload::RunResult &res);
 
 /** Collects sweep-point records and writes the bench document. */
 class JsonReport
@@ -106,6 +89,12 @@ class JsonReport
 
     /** Account simulated work for the sim-speed self-meter. */
     void addSimWork(Cycles cycles, std::uint64_t instructions);
+
+    /**
+     * Account @p res's simulated work and append its record:
+     * resultJson(@p res) plus the point's identifying @p keys.
+     */
+    void addResult(const workload::RunResult &res, Json::Object keys);
 
     /**
      * Write the document (no-op success when disabled).

@@ -31,14 +31,10 @@ main(int argc, char **argv)
     const auto record = [&](const ListSetBenchResult &res,
                             unsigned cpus, unsigned key_space,
                             bool elision) {
-        report.addSimWork(res.elapsedCycles, res.instructions);
-        if (report.enabled()) {
-            Json rec = bench::resultJson(res);
-            rec["cpus"] = cpus;
-            rec["key_space"] = key_space;
-            rec["variant"] = elision ? "elision" : "lock";
-            report.addRecord(std::move(rec));
-        }
+        report.addResult(res,
+                         {{"cpus", cpus},
+                          {"key_space", key_space},
+                          {"variant", elision ? "elision" : "lock"}});
     };
 
     for (const unsigned key_space : {32u, 256u}) {

@@ -37,16 +37,11 @@ main(int argc, char **argv)
         cfg.iterations = iters;
         cfg.machine = bench::benchMachine();
         const auto res = runUpdateBench(cfg);
-        report.addSimWork(res.elapsedCycles, res.instructions);
-        if (report.enabled()) {
-            Json rec = bench::resultJson(res);
-            rec["variant"] = label;
-            rec["method"] = syncMethodName(method);
-            rec["cpus"] = cpus;
-            rec["pool"] = pool;
-            rec["vars_per_op"] = vars;
-            report.addRecord(std::move(rec));
-        }
+        report.addResult(res, {{"variant", label},
+                               {"method", syncMethodName(method)},
+                               {"cpus", cpus},
+                               {"pool", pool},
+                               {"vars_per_op", vars}});
         return res;
     };
 

@@ -28,13 +28,9 @@ main(int argc, char **argv)
 
     const auto record = [&](const QueueBenchResult &res,
                             unsigned cpus, bool constrained) {
-        report.addSimWork(res.elapsedCycles, res.instructions);
-        if (report.enabled()) {
-            Json rec = bench::resultJson(res);
-            rec["cpus"] = cpus;
-            rec["variant"] = constrained ? "tbeginc" : "lock";
-            report.addRecord(std::move(rec));
-        }
+        report.addResult(
+            res, {{"cpus", cpus},
+                  {"variant", constrained ? "tbeginc" : "lock"}});
     };
 
     SeriesTable table("CPUs", {"Lock", "TBEGINC", "Ratio"});

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hh"
 #include "json_report.hh"
@@ -47,16 +48,11 @@ throughputAt(bench::JsonReport &report, double scale,
     cfg.iterations = bench::benchIterations();
     cfg.machine = machine;
     const auto res = runUpdateBench(cfg);
-    report.addSimWork(res.elapsedCycles, res.instructions);
-    if (report.enabled()) {
-        Json rec = bench::resultJson(res);
-        rec["section"] = "latency-scale";
-        rec["latency_scale"] = scale;
-        rec["cpus"] = cfg.cpus;
-        rec["variant"] = syncMethodName(method);
-        rec["method"] = syncMethodName(method);
-        report.addRecord(std::move(rec));
-    }
+    report.addResult(res, {{"section", "latency-scale"},
+                           {"latency_scale", scale},
+                           {"cpus", cfg.cpus},
+                           {"variant", syncMethodName(method)},
+                           {"method", syncMethodName(method)}});
     return res.throughput;
 }
 
@@ -99,28 +95,21 @@ main(int argc, char **argv)
         cfg.varsPerOp = 4;
         cfg.iterations = bench::benchIterations();
         cfg.machine = bench::benchMachine();
-        const auto backoff_res = runUpdateBench(cfg);
-        cfg.machine.tm.ppaBaseDelay = 1;
-        cfg.machine.tm.ppaMaxShift = 0;
-        const auto nobackoff_res = runUpdateBench(cfg);
-        const double with_backoff = backoff_res.throughput;
-        const double without = nobackoff_res.throughput;
-        ppa.addRow(cpus, {1000.0 * with_backoff, 1000.0 * without});
-        report.addSimWork(backoff_res.elapsedCycles,
-                          backoff_res.instructions);
-        report.addSimWork(nobackoff_res.elapsedCycles,
-                          nobackoff_res.instructions);
-        if (report.enabled()) {
-            for (const bool has_backoff : {true, false}) {
-                Json rec = bench::resultJson(
-                    has_backoff ? backoff_res : nobackoff_res);
-                rec["section"] = "ppa-backoff";
-                rec["cpus"] = cpus;
-                rec["variant"] =
-                    has_backoff ? "backoff" : "no-backoff";
-                report.addRecord(std::move(rec));
+        std::vector<double> row;
+        for (const bool has_backoff : {true, false}) {
+            if (!has_backoff) {
+                cfg.machine.tm.ppaBaseDelay = 1;
+                cfg.machine.tm.ppaMaxShift = 0;
             }
+            const auto res = runUpdateBench(cfg);
+            row.push_back(1000.0 * res.throughput);
+            report.addResult(
+                res,
+                {{"section", "ppa-backoff"},
+                 {"cpus", cpus},
+                 {"variant", has_backoff ? "backoff" : "no-backoff"}});
         }
+        ppa.addRow(cpus, row);
     }
     ppa.print(std::cout);
     std::printf("# random exponential backoff prevents harmonic "

@@ -94,11 +94,7 @@ TEST(JsonReport, WritesSchemaConformingDocument)
     report.meta()["iterations"] = 7u;
 
     const auto res = contendedRun();
-    report.addSimWork(res.elapsedCycles, res.instructions);
-    Json rec = bench::resultJson(res);
-    rec["cpus"] = 2u;
-    rec["variant"] = "tbegin";
-    report.addRecord(std::move(rec));
+    report.addResult(res, {{"cpus", 2u}, {"variant", "tbegin"}});
     ASSERT_TRUE(report.write());
 
     const auto doc = Json::parse(slurp(path));
