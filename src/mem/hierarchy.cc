@@ -43,7 +43,6 @@ Hierarchy::Hierarchy(const Topology &topo, const LatencyModel &lat,
     }
     lruExtTracked_.resize(n);
     txLines_.resize(n);
-    hot_.resize(n);
     for (unsigned c = 0; c < topo_.numChips(); ++c)
         l3_.emplace_back(geo_.l3, "l3." + std::to_string(c));
     for (unsigned m = 0; m < topo_.numMcms(); ++m)
@@ -75,7 +74,7 @@ Hierarchy::localHit(CpuId cpu, Addr line)
         l1_[cpu].touchAt(p1);
         res.source = DataSource::L1;
         res.latency = lat_.l1Hit;
-        ++hot_[cpu].l1Hit;
+        ++hot_.l1Hit;
         return res;
     }
     // Inclusivity: a held line must be L2-resident.
@@ -86,7 +85,7 @@ Hierarchy::localHit(CpuId cpu, Addr line)
     insertL1At(cpu, line, p1);
     res.source = DataSource::L2;
     res.latency = lat_.l2Hit;
-    ++hot_[cpu].l2Hit;
+    ++hot_.l2Hit;
     return res;
 }
 
@@ -129,10 +128,10 @@ Hierarchy::sendXi(XiKind kind, Addr line, CpuId target, CpuId requester)
         poisonedCached(line),
     };
     switch (kind) {
-      case XiKind::ReadOnly: ++hot_[target].xiReadOnly; break;
-      case XiKind::Demote: ++hot_[target].xiDemote; break;
-      case XiKind::Exclusive: ++hot_[target].xiExclusive; break;
-      case XiKind::Lru: ++hot_[target].xiLru; break;
+      case XiKind::ReadOnly: ++hot_.xiReadOnly; break;
+      case XiKind::Demote: ++hot_.xiDemote; break;
+      case XiKind::Exclusive: ++hot_.xiExclusive; break;
+      case XiKind::Lru: ++hot_.xiLru; break;
     }
     ztx_trace(trace::Category::Xi, xiKindName(kind), " XI to cpu",
               target, " line=0x", std::hex, line, std::dec,
@@ -142,7 +141,7 @@ Hierarchy::sendXi(XiKind kind, Addr line, CpuId target, CpuId requester)
         if (kind != XiKind::Demote && kind != XiKind::Exclusive)
             ztx_panic("client rejected a non-rejectable ",
                       xiKindName(kind), " XI");
-        ++hot_[target].xiRejected;
+        ++hot_.xiRejected;
     }
     return resp;
 }
@@ -154,7 +153,7 @@ Hierarchy::probeDelay(XiKind kind, CpuId target, CpuId requester)
         return 0;
     const Cycles delay = xiProbe_->xiDelay(kind, target, requester);
     if (delay)
-        ++hot_[target].xiDelayed;
+        ++hot_.xiDelayed;
     return delay;
 }
 
@@ -173,7 +172,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive)
     if (lineOffset(line) != 0)
         ztx_panic("fetch of non-line-aligned address");
 
-    ++hot_[cpu].fetchTotal;
+    ++hot_.fetchTotal;
     // L1/L2 hit: decided from the directory words, no snapshot.
     if (dir_.holds(cpu, line) &&
         (!exclusive || dir_.ownerOf(line) == cpu))
@@ -225,7 +224,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive)
     if (poisonActive_)
         propagatePoisonOnFill(cpu, line, holders.other, res.source);
     res.latency = std::max(lat_.fetch(res.source), xi_cost);
-    ++hot_[cpu].fetchMiss;
+    ++hot_.fetchMiss;
     return res;
 }
 
@@ -241,14 +240,14 @@ Hierarchy::propagatePoisonOnFill(CpuId cpu, Addr line,
         // intervention carries poison over the XI data transfer,
         // a shared-cache hit carries it on the fetch itself.
         if (other_holder)
-            ++hot_[cpu].poisonSpreadXi;
+            ++hot_.poisonSpreadXi;
         else
-            ++hot_[cpu].poisonSpreadFetch;
+            ++hot_.poisonSpreadFetch;
     } else if ((it->second & poisonMemorySide) &&
                source == DataSource::Memory) {
         // The corrupt home image enters the cache hierarchy.
         it->second |= poisonCached;
-        ++hot_[cpu].poisonSpreadFetch;
+        ++hot_.poisonSpreadFetch;
     } else {
         return; // memory-side only, fill came from a clean cache
     }
@@ -313,7 +312,7 @@ Hierarchy::insertL1At(CpuId cpu, Addr line,
     if (victim.flags & line_flag::txRead) {
         if (lruExtEnabled_) {
             lruExt_[cpu][l1_[cpu].row(victim.line)] = true;
-            ++hot_[cpu].lruExtSet;
+            ++hot_.lruExtSet;
             auto &tracked = lruExtTracked_[cpu];
             if (std::find(tracked.begin(), tracked.end(),
                           victim.line) == tracked.end())
@@ -330,7 +329,7 @@ Hierarchy::insertL1At(CpuId cpu, Addr line,
         }
     }
     client(cpu)->l1Evicted(victim.line, victim.flags);
-    ++hot_[cpu].l1Evict;
+    ++hot_.l1Evict;
 }
 
 void
@@ -340,10 +339,10 @@ Hierarchy::handleL2Evict(CpuId cpu, Addr victim)
     const bool ext_hit = lruExtensionHit(cpu, victim);
     l1_[cpu].invalidate(victim);
     dir_.remove(victim, cpu);
-    ++hot_[cpu].l2Evict;
+    ++hot_.l2Evict;
     const bool victim_poisoned = poisonedCached(victim);
     if (victim_poisoned)
-        ++hot_[cpu].poisonSpreadCastout; // castout moves the image
+        ++hot_.poisonSpreadCastout; // castout moves the image
     // Inclusivity LRU-XI down to the core; the client aborts its
     // transaction when the line is (or may be, via the imprecise
     // extension row) part of the transactional footprint.
@@ -425,7 +424,7 @@ Hierarchy::killTxDirtyLines(CpuId cpu)
     });
     for (const Addr line : doomed)
         l1_[cpu].invalidate(line);
-    hot_[cpu].txDirtyKilled += doomed.size();
+    hot_.txDirtyKilled += doomed.size();
 }
 
 bool
@@ -618,60 +617,28 @@ Hierarchy::inTxFootprint(CpuId cpu, Addr line) const
 void
 Hierarchy::foldHotCounters() const
 {
-    HotCounters sum;
-    for (const HotCounters &h : hot_) {
-        sum.fetchTotal += h.fetchTotal;
-        sum.l1Hit += h.l1Hit;
-        sum.l2Hit += h.l2Hit;
-        sum.l1Evict += h.l1Evict;
-        sum.lruExtSet += h.lruExtSet;
-        sum.txDirtyKilled += h.txDirtyKilled;
-        sum.fetchMiss += h.fetchMiss;
-        sum.l2Evict += h.l2Evict;
-        sum.xiReadOnly += h.xiReadOnly;
-        sum.xiDemote += h.xiDemote;
-        sum.xiExclusive += h.xiExclusive;
-        sum.xiLru += h.xiLru;
-        sum.xiRejected += h.xiRejected;
-        sum.xiDelayed += h.xiDelayed;
-        sum.poisonSpreadFetch += h.poisonSpreadFetch;
-        sum.poisonSpreadCastout += h.poisonSpreadCastout;
-        sum.poisonSpreadXi += h.poisonSpreadXi;
-    }
     // Touch every counter unconditionally so the set of registered
     // stats (and hence the JSON shape) never depends on which paths
     // happened to run.
-    stats_.counter("fetch.total").inc(sum.fetchTotal -
-                                      hotFolded_.fetchTotal);
-    stats_.counter("fetch.l1_hit").inc(sum.l1Hit - hotFolded_.l1Hit);
-    stats_.counter("fetch.l2_hit").inc(sum.l2Hit - hotFolded_.l2Hit);
-    stats_.counter("fetch.miss").inc(sum.fetchMiss -
-                                     hotFolded_.fetchMiss);
-    stats_.counter("l1.evict").inc(sum.l1Evict - hotFolded_.l1Evict);
-    stats_.counter("l1.lru_ext_set").inc(sum.lruExtSet -
-                                         hotFolded_.lruExtSet);
-    stats_.counter("l1.tx_dirty_killed")
-        .inc(sum.txDirtyKilled - hotFolded_.txDirtyKilled);
-    stats_.counter("l2.evict").inc(sum.l2Evict - hotFolded_.l2Evict);
-    stats_.counter("xi.read-only").inc(sum.xiReadOnly -
-                                       hotFolded_.xiReadOnly);
-    stats_.counter("xi.demote").inc(sum.xiDemote -
-                                    hotFolded_.xiDemote);
-    stats_.counter("xi.exclusive").inc(sum.xiExclusive -
-                                       hotFolded_.xiExclusive);
-    stats_.counter("xi.lru").inc(sum.xiLru - hotFolded_.xiLru);
-    stats_.counter("xi.rejected").inc(sum.xiRejected -
-                                      hotFolded_.xiRejected);
-    stats_.counter("xi.delayed").inc(sum.xiDelayed -
-                                     hotFolded_.xiDelayed);
-    stats_.counter("poison.spread_fetch")
-        .inc(sum.poisonSpreadFetch - hotFolded_.poisonSpreadFetch);
+    stats_.counter("fetch.total").inc(hot_.fetchTotal);
+    stats_.counter("fetch.l1_hit").inc(hot_.l1Hit);
+    stats_.counter("fetch.l2_hit").inc(hot_.l2Hit);
+    stats_.counter("fetch.miss").inc(hot_.fetchMiss);
+    stats_.counter("l1.evict").inc(hot_.l1Evict);
+    stats_.counter("l1.lru_ext_set").inc(hot_.lruExtSet);
+    stats_.counter("l1.tx_dirty_killed").inc(hot_.txDirtyKilled);
+    stats_.counter("l2.evict").inc(hot_.l2Evict);
+    stats_.counter("xi.read-only").inc(hot_.xiReadOnly);
+    stats_.counter("xi.demote").inc(hot_.xiDemote);
+    stats_.counter("xi.exclusive").inc(hot_.xiExclusive);
+    stats_.counter("xi.lru").inc(hot_.xiLru);
+    stats_.counter("xi.rejected").inc(hot_.xiRejected);
+    stats_.counter("xi.delayed").inc(hot_.xiDelayed);
+    stats_.counter("poison.spread_fetch").inc(hot_.poisonSpreadFetch);
     stats_.counter("poison.spread_castout")
-        .inc(sum.poisonSpreadCastout -
-             hotFolded_.poisonSpreadCastout);
-    stats_.counter("poison.spread_xi")
-        .inc(sum.poisonSpreadXi - hotFolded_.poisonSpreadXi);
-    hotFolded_ = sum;
+        .inc(hot_.poisonSpreadCastout);
+    stats_.counter("poison.spread_xi").inc(hot_.poisonSpreadXi);
+    hot_ = {};
 }
 
 std::string

@@ -280,8 +280,8 @@ class Hierarchy
 
   private:
     /**
-     * Counters of the per-access fetch and XI paths: one slot per
-     * CPU, folded idempotently into stats_ on observation.
+     * Counters of the per-access fetch and XI paths, summed over
+     * all CPUs and moved into stats_ when stats are observed.
      */
     struct HotCounters
     {
@@ -293,14 +293,13 @@ class Hierarchy
         std::uint64_t txDirtyKilled = 0;
         std::uint64_t fetchMiss = 0;
         std::uint64_t l2Evict = 0;
-        // XI counters are indexed by the XI *target*.
         std::uint64_t xiReadOnly = 0;
         std::uint64_t xiDemote = 0;
         std::uint64_t xiExclusive = 0;
         std::uint64_t xiLru = 0;
         std::uint64_t xiRejected = 0;
         std::uint64_t xiDelayed = 0;
-        // Poison propagation observed on this CPU's access paths.
+        // Poison propagation observed on the access paths.
         std::uint64_t poisonSpreadFetch = 0;
         std::uint64_t poisonSpreadCastout = 0;
         std::uint64_t poisonSpreadXi = 0;
@@ -364,8 +363,7 @@ class Hierarchy
     /** Fast gate for the common no-poison case. */
     bool poisonActive_ = false;
     XiDelayProbe *xiProbe_ = nullptr;
-    std::vector<HotCounters> hot_;
-    mutable HotCounters hotFolded_{};
+    mutable HotCounters hot_{};
     mutable StatGroup stats_;
     /** @name Shared-cache eviction counters @{ */
     CounterHandle l3EvictStat_{stats_, "l3.evict"};
