@@ -145,6 +145,40 @@ Machine::run(Cycles max_cycles)
     return cfg_.steer ? runSteered(max_cycles) : runLegacy(max_cycles);
 }
 
+inline bool
+Machine::stepCpu(CpuId id, Cycles t, Cycles end_cycle)
+{
+    now_ = std::max(now_, t);
+    if (now_ >= end_cycle) {
+        now_ = end_cycle;
+        return false;
+    }
+
+    pumpDueIo();
+    if (cfg_.externalInterruptPeriod && now_ >= nextInterrupt_[id]) {
+        extDeliveredCounter_.inc();
+        extSkippedCounter_.inc(deliverExternalInterrupt(id, now_));
+    }
+
+    // Evaluated before *every* step, so scripted scenario triggers
+    // fire exactly at enumeration decision points in steered mode
+    // (see inject/steer.hh).
+    if (injector_)
+        injector_->beforeStep(id, now_);
+
+    stepCounter_.inc();
+    Cycles cost;
+    {
+        ZTX_PROF_SCOPE("cpu.step");
+        cost = cpus_[id]->step();
+    }
+    cost += cpus_[id]->consumePendingStall();
+    // Zero-cost steps model superscalar grouping; the CPU's
+    // dispatch credit bounds how many occur per cycle.
+    readyAt_[id] = now_ + cost;
+    return true;
+}
+
 Cycles
 Machine::runLegacy(Cycles max_cycles)
 {
@@ -193,32 +227,8 @@ Machine::runLegacy(Cycles max_cycles)
             }
         }
 
-        now_ = std::max(now_, t);
-        if (now_ >= end_cycle) {
-            now_ = end_cycle;
+        if (!stepCpu(id, t, end_cycle))
             break;
-        }
-
-        pumpDueIo();
-        if (cfg_.externalInterruptPeriod &&
-            now_ >= nextInterrupt_[id]) {
-            extDeliveredCounter_.inc();
-            extSkippedCounter_.inc(deliverExternalInterrupt(id, now_));
-        }
-
-        if (injector_)
-            injector_->beforeStep(id, now_);
-
-        stepCounter_.inc();
-        Cycles cost;
-        {
-            ZTX_PROF_SCOPE("cpu.step");
-            cost = cpus_[id]->step();
-        }
-        cost += cpus_[id]->consumePendingStall();
-        // Zero-cost steps model superscalar grouping; the CPU's
-        // dispatch credit bounds how many occur per cycle.
-        readyAt_[id] = now_ + cost;
         if (!cpus_[id]->halted())
             rekeyTop(heap, readyAt_[id]);
 
@@ -279,29 +289,8 @@ Machine::runSteered(Cycles max_cycles)
         // that was ready in the past costs nothing extra. Cycle
         // values are therefore schedule-dependent in steered mode —
         // only the step order is the enumeration's contract.
-        now_ = std::max(now_, readyAt_[id]);
-        if (now_ >= end_cycle) {
-            now_ = end_cycle;
+        if (!stepCpu(id, readyAt_[id], end_cycle))
             break;
-        }
-
-        pumpDueIo();
-        if (cfg_.externalInterruptPeriod &&
-            now_ >= nextInterrupt_[id]) {
-            extDeliveredCounter_.inc();
-            extSkippedCounter_.inc(deliverExternalInterrupt(id, now_));
-        }
-
-        // Evaluated before *every* steered step, so scripted
-        // scenario triggers fire exactly at enumeration decision
-        // points (see inject/steer.hh).
-        if (injector_)
-            injector_->beforeStep(id, now_);
-
-        stepCounter_.inc();
-        Cycles cost = cpus_[id]->step();
-        cost += cpus_[id]->consumePendingStall();
-        readyAt_[id] = now_ + cost;
     }
     return now_ - start;
 }

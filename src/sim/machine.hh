@@ -278,6 +278,15 @@ class Machine : public core::CpuEnv
         }
     }
 
+    /**
+     * The step body both run loops share: advance `now` to @p t,
+     * pump due I/O, deliver a due external interrupt, let the
+     * injector act, step CPU @p id and set its next ready time.
+     * @return False, with nothing stepped, once @p end_cycle is
+     *         reached.
+     */
+    bool stepCpu(CpuId id, Cycles t, Cycles end_cycle);
+
     /** The exact ready-time heap scheduler. */
     Cycles runLegacy(Cycles max_cycles);
 
