@@ -5,11 +5,18 @@
  * (kind, schema_version, bench, meta, non-empty records, sim_speed).
  * Exit code 0 only for a well-formed report; used by the
  * bench_json_smoke ctest target.
+ *
+ * `json_check --same A B` instead compares two reports and exits 0
+ * only when they are equal apart from host timing: the
+ * sim_speed.host_seconds and sim_speed.*_per_host_second fields and
+ * every `prof` object. It is the identity gate for changes that
+ * must not move a simulated result.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -206,11 +213,109 @@ checkProf(const ztx::Json &prof)
     return nullptr;
 }
 
+/** Parse the JSON file at @p path; nullopt (after a message) if not. */
+std::optional<ztx::Json>
+load(const char *path)
+{
+    std::ifstream in(path);
+    if (!in) {
+        fail(path, "cannot open");
+        return std::nullopt;
+    }
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    auto doc = ztx::Json::parse(buf.str());
+    if (!doc)
+        fail(path, "parse error");
+    return doc;
+}
+
+/**
+ * @p v without its host-timing fields: every `prof` member, and
+ * host_seconds and the *_per_host_second rates of `sim_speed`.
+ */
+ztx::Json
+withoutHostTiming(const ztx::Json &v, bool in_sim_speed = false)
+{
+    if (v.isArray()) {
+        ztx::Json out = ztx::Json::array();
+        for (std::size_t i = 0; i < v.size(); ++i)
+            out.push(withoutHostTiming(v.at(i)));
+        return out;
+    }
+    if (!v.isObject())
+        return v;
+    ztx::Json out = ztx::Json::object();
+    for (const auto &[key, member] : v.items()) {
+        if (key == "prof" ||
+            (in_sim_speed && (key == "host_seconds" ||
+                              key.ends_with("_per_host_second"))))
+            continue;
+        out[key] = withoutHostTiming(member, key == "sim_speed");
+    }
+    return out;
+}
+
+/** Path of the first difference between @p a and @p b; "" if none. */
+std::string
+firstDifference(const ztx::Json &a, const ztx::Json &b,
+                const std::string &path)
+{
+    if (a.isObject() && b.isObject()) {
+        for (const auto &[key, member] : a.items()) {
+            const ztx::Json *other = b.find(key);
+            if (!other)
+                return path + "." + key;
+            std::string d = firstDifference(member, *other,
+                                            path + "." + key);
+            if (!d.empty())
+                return d;
+        }
+        for (const auto &[key, member] : b.items())
+            if (!a.contains(key))
+                return path + "." + key;
+        return "";
+    }
+    if (a.isArray() && b.isArray() && a.size() == b.size()) {
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            std::string d = firstDifference(
+                a.at(i), b.at(i), path + "[" + std::to_string(i) + "]");
+            if (!d.empty())
+                return d;
+        }
+        return "";
+    }
+    return a.dump() == b.dump() ? "" : path;
+}
+
+/** The `--same A B` mode: 0 when equal apart from host timing. */
+int
+same(const char *path_a, const char *path_b)
+{
+    const auto a = load(path_a);
+    const auto b = load(path_b);
+    if (!a || !b)
+        return 1;
+    const std::string diff = firstDifference(
+        withoutHostTiming(*a), withoutHostTiming(*b), "$");
+    if (!diff.empty()) {
+        std::fprintf(stderr, "json_check: %s and %s differ at %s\n",
+                     path_a, path_b, diff.c_str());
+        return 1;
+    }
+    std::printf("json_check: %s and %s: same\n", path_a, path_b);
+    return 0;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    const bool same_mode =
+        argc > 1 && std::strcmp(argv[1], "--same") == 0;
+    if (same_mode && argc == 4)
+        return same(argv[2], argv[3]);
     bool require_prof = false;
     const char *path = nullptr;
     for (int i = 1; i < argc; ++i) {
@@ -221,21 +326,16 @@ main(int argc, char **argv)
         else
             path = ""; // too many operands
     }
-    if (path == nullptr || *path == '\0') {
+    if (same_mode || path == nullptr || *path == '\0') {
         std::fprintf(stderr, "usage: json_check [--require-prof] "
-                             "<BENCH_*.json>\n");
+                             "<BENCH_*.json>\n"
+                             "       json_check --same <A.json> "
+                             "<B.json>\n");
         return 2;
     }
-    std::ifstream in(path);
-    if (!in)
-        return fail(path, "cannot open");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    const auto doc = ztx::Json::parse(text);
+    const auto doc = load(path);
     if (!doc)
-        return fail(path, "parse error");
+        return 1;
 
     const ztx::Json *kind = doc->find("kind");
     if (!kind || kind->str() != "ztx.bench")
